@@ -19,6 +19,7 @@ from .weighting import MomentTable, gauss_legendre
 
 __all__ = [
     "TriDiagonal",
+    "cell_gauss_rule",
     "SourceFunction",
     "SaddleSystem",
     "assemble_mass_classical",
@@ -67,15 +68,6 @@ class TriDiagonal:
                 + np.diag(self.lower, k=-1)
                 + np.diag(self.upper, k=1))
 
-    def to_banded(self) -> np.ndarray:
-        """The (1, 1)-banded layout used by scipy.linalg.solve_banded."""
-        m = self.diag.size
-        ab = np.zeros((3, m))
-        ab[0, 1:] = self.upper
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.lower
-        return ab
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = self.diag * x
@@ -88,6 +80,15 @@ class TriDiagonal:
         y[1:] += self.lower
         y[:-1] += self.upper
         return y
+
+
+def cell_gauss_rule(mesh: Mesh, quad_order: int):
+    """Reference Gauss nodes x and weights w on [0, 1], and a function that
+    evaluates a callable at the points vertices[j] + h_j * x of every cell j,
+    shape (n, quad_order), broadcasting a constant return value."""
+    x, w = gauss_legendre(quad_order)
+    pts = mesh.vertices[:-1, None] + mesh.cell_widths[:, None] * x[None, :]
+    return x, w, lambda fn: np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,8 @@ class SourceFunction:
     def cell_integrals(self, mesh: Mesh, quad_order: int = DEFAULT_RHS_QUAD_ORDER) -> np.ndarray:
         if self.antiderivative is not None:
             return np.diff(np.asarray(self.antiderivative(mesh.vertices), dtype=float))
-        x, w = gauss_legendre(quad_order)
-        pts = mesh.vertices[:-1, None] + mesh.cell_widths[:, None] * x[None, :]
-        vals = np.asarray(self.f(pts), dtype=float)
-        if vals.shape != pts.shape:  # constant-returning callables
-            vals = np.broadcast_to(vals, pts.shape)
-        return mesh.cell_widths * (vals @ w)
+        _, w, at_points = cell_gauss_rule(mesh, quad_order)
+        return mesh.cell_widths * (at_points(self.f) @ w)
 
 
 def _as_source(f: Union[SourceFunction, Callable]) -> SourceFunction:
@@ -141,18 +138,13 @@ def assemble_mass_pg(mesh: Mesh, m: MomentTable) -> TriDiagonal:
 
 
 def assemble_div(mesh: Mesh) -> np.ndarray:
-    """Divergence of nodal fields tested against cell indicators.
+    """Divergence of nodal fields tested against cell indicators, as two bands.
 
-    Row l holds (-1, +1) at columns (l, l+1): the integral of the derivative
-    of a nodal basis function over cell l, which is the same for hat and for
-    localized psi test functions.
+    Column l holds the coefficients (-1, +1) of (p_l, p_{l+1}) in cell l: the
+    integral of the derivative of a nodal basis function over the cell, the
+    same for hat and for localized psi test functions.
     """
-    n = mesh.n
-    B = np.zeros((n, n + 1))
-    idx = np.arange(n)
-    B[idx, idx] = -1.0
-    B[idx, idx + 1] = 1.0
-    return B
+    return np.vstack((np.full(mesh.n, -1.0), np.ones(mesh.n)))
 
 
 def project_rhs(mesh: Mesh, f: Union[SourceFunction, Callable],
@@ -186,9 +178,10 @@ def assemble_fv(mesh: Mesh, f: Union[SourceFunction, Callable],
 class SaddleSystem:
     """Block system [[M, B^t], [B, 0]] (p, u) = (0, -rhs_cells).
 
-    ``mass`` is the (possibly cross) mass matrix, ``div_matrix`` the n x (n+1)
-    divergence block, ``rhs_cells`` the cell loads.  The mass matrices built
-    here are symmetric, so the trial-row and test-row orientations agree.
+    ``mass`` is the (possibly cross) mass matrix, ``rhs_cells`` the cell loads
+    and ``div_matrix`` the two bands of the n x (n+1) divergence block, shape
+    (2, n): B[l, l] = div_matrix[0, l] and B[l, l+1] = div_matrix[1, l].  The
+    mass block must be symmetric, so trial-row and test-row orientations agree.
     """
 
     mass: TriDiagonal
@@ -201,8 +194,10 @@ class SaddleSystem:
         n = self.mesh.n
         if self.mass.shape != (n + 1, n + 1):
             raise ValueError("mass block must be (n+1) x (n+1)")
-        if self.div_matrix.shape != (n, n + 1):
-            raise ValueError("divergence block must be n x (n+1)")
+        if not np.array_equal(self.mass.lower, self.mass.upper, equal_nan=True):
+            raise ValueError("mass block must be symmetric")
+        if self.div_matrix.shape != (2, n):
+            raise ValueError("divergence block must be stored as its two bands, shape (2, n)")
         if self.rhs_cells.shape != (n,):
             raise ValueError("rhs must have one entry per cell")
 

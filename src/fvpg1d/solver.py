@@ -1,8 +1,8 @@
 """Direct solvers for the cell system and the block saddle systems.
 
-Everything is banded or small: the finite-volume path is one symmetric
-banded solve, the mixed path eliminates the gradient block first and solves
-the dense Schur complement on the cells.  No iterative methods.
+Everything is banded: the finite-volume path is one symmetric tridiagonal
+solve, the mixed path one banded LU of the whole saddle system with the
+unknowns interleaved as (p_0, u_0, p_1, u_1, ..., p_n).  No iterative methods.
 """
 
 from __future__ import annotations
@@ -22,6 +22,11 @@ RESIDUAL_RTOL = 1e-10
 
 class SolverError(RuntimeError):
     """A linear system could not be solved reliably."""
+
+
+def _require_finite(name: str, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise SolverError(f"{name} contains NaN or inf")
 
 
 @dataclass(frozen=True)
@@ -47,12 +52,11 @@ def solve_fv(mesh: Mesh, f, quad_order: int = 8) -> DiscreteSolution:
     p_{j+1} - p_j + int_cell f = 0 holds to rounding by construction.
     """
     A, b = assemble_fv(mesh, f, quad_order)
+    _require_finite("cell load vector", b)
     if mesh.n == 1:  # scipy's banded tridiagonal path rejects 1x1 systems
         u = b / A.diag
     else:
-        ab = np.zeros((2, mesh.n))
-        ab[0, 1:] = A.upper
-        ab[1, :] = A.diag
+        ab = np.vstack((np.append(0.0, A.upper), A.diag))  # upper-form bands
         try:
             u = scipy.linalg.solveh_banded(ab, b)
         except np.linalg.LinAlgError as exc:
@@ -63,36 +67,39 @@ def solve_fv(mesh: Mesh, f, quad_order: int = 8) -> DiscreteSolution:
 
 
 def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
-    """Solve a saddle system by block elimination.
+    """Solve a saddle system with one banded LU.
 
-    First p = -mass^{-1} B^t u via a banded LU of the mass block, then the
-    Schur complement B mass^{-1} B^t on the cells (Cholesky when symmetric,
-    LU otherwise).  Raises SolverError on a singular mass block, an
-    indefinite symmetric Schur complement, or a block residual above 1e-10
-    relative.
+    With the unknowns ordered (p_0, u_0, p_1, u_1, ..., p_n) the block matrix
+    [[M, B^t], [B, 0]] is (2, 2)-banded; partial pivoting handles the zero
+    diagonal of the cell rows.  Raises SolverError on non-finite input, a
+    singular mass block, a Schur complement B M^{-1} B^t that is not positive
+    definite, or a block residual above 1e-10 relative.
     """
-    M, B, f_cells = system.mass, system.div_matrix, system.rhs_cells
-    with np.errstate(all="ignore"):
-        try:
-            X = scipy.linalg.solve_banded((1, 1), M.to_banded(), B.T)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverError("mass block is singular") from exc
-    if not np.all(np.isfinite(X)):
-        raise SolverError("mass block is singular or badly scaled")
-    S = B @ X
-    sym_scale = max(1.0, float(np.abs(S).max()))
+    M, D, f_cells = system.mass, system.div_matrix, system.rhs_cells
+    _require_finite("mass block", M.lower, M.diag, M.upper)
+    _require_finite("cell load vector", f_cells)
+    tol = 1e-12 * (np.abs(M.diag).max() + 2.0 * np.abs(M.upper).max())
+    low = scipy.linalg.eigvalsh_tridiagonal(M.diag, M.upper, select="v",
+                                            select_range=(-np.inf, tol))
+    if np.any(np.abs(low) <= tol):
+        raise SolverError("mass block is singular")
+    # B has the constants as its kernel, so B M^{-1} B^t is positive definite
+    # exactly when M has no negative eigenvalue, or one and 1^t M 1 < 0
+    if low.size > 1 or (low.size == 1 and M.row_sums().sum() >= 0.0):
+        raise SolverError("Schur complement is not positive definite")
+    # ab[2 + i - j, j] holds entry (i, j); p_j is unknown 2j and u_l is 2l + 1
+    ab = np.zeros((5, 2 * system.mesh.n + 1))
+    ab[0, 2::2] = M.upper
+    ab[1, 1:] = ab[3, :-1] = D.T.ravel()  # B and B^t, mirrored about the diagonal
+    ab[2, 0::2] = M.diag
+    ab[4, :-1:2] = M.lower
+    rhs = np.zeros(ab.shape[1])
+    rhs[1::2] = -f_cells
     try:
-        if np.allclose(S, S.T, rtol=0.0, atol=1e-12 * sym_scale):
-            try:
-                u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), f_cells)
-            except np.linalg.LinAlgError as exc:
-                raise SolverError("Schur complement is not positive definite") from exc
-        else:
-            u = scipy.linalg.solve(S, f_cells)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError("Schur complement is singular") from exc
-    p = -X @ u
-    solution = DiscreteSolution(u_cells=u, p_nodes=p, mesh=system.mesh,
+        x = scipy.linalg.solve_banded((2, 2), ab, rhs, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("saddle system is singular") from exc
+    solution = DiscreteSolution(u_cells=x[1::2], p_nodes=x[0::2], mesh=system.mesh,
                                 scheme=system.label or "mixed")
     r = residual(system, solution)
     scale = max(1.0, float(np.abs(f_cells).max()))
@@ -103,6 +110,7 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
 
 def residual(system: SaddleSystem, solution: DiscreteSolution) -> float:
     """Max-norm residual of the full block system at a candidate solution."""
-    r_grad = system.mass.matvec(solution.p_nodes) + system.div_matrix.T @ solution.u_cells
-    r_cells = system.div_matrix @ solution.p_nodes + system.rhs_cells
+    D, p, u = system.div_matrix, solution.p_nodes, solution.u_cells
+    r_grad = system.mass.matvec(p) + np.append(D[0] * u, 0.0) + np.append(0.0, D[1] * u)
+    r_cells = D[0] * p[:-1] + D[1] * p[1:] + system.rhs_cells
     return float(max(np.abs(r_grad).max(), np.abs(r_cells).max()))

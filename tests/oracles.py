@@ -1,13 +1,15 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing in here imports from the package under test.  Three tools:
+Nothing in here imports from the package under test.  Four tools:
 
 * exact polynomial calculus over ``fractions.Fraction`` (integration of the
   weighting-function moments without any floating-point rounding);
 * a composite Simpson rule (independent of Gauss-Legendre) for callables;
 * a brute-force inf-sup oracle that assembles every matrix by pointwise
   quadrature over basis functions and extracts the constant from a
-  generalized eigenproblem instead of a whitened SVD.
+  generalized eigenproblem instead of a whitened SVD;
+* a dense test of whether the Schur complement of a mixed system is
+  positive definite.
 """
 
 from fractions import Fraction
@@ -168,3 +170,26 @@ def oracle_infsup(vertices, psi, dpsi, order=24):
     A = G.T @ np.linalg.solve(G2, G)
     lam = scipy.linalg.eigh(A, G1, eigvals_only=True)
     return float(np.sqrt(max(lam[0], 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# dense Schur-complement test
+# ---------------------------------------------------------------------------
+
+def schur_is_pd(M_dense):
+    """Whether B M^{-1} B^t is positive definite for the (n+1) x (n+1) mass M.
+
+    B is the dense n x (n+1) divergence block with -1, +1 on each row; the
+    answer comes from a Cholesky factorization of the explicit complement.
+    """
+    M = np.asarray(M_dense, dtype=float)
+    n = M.shape[0] - 1
+    B = np.zeros((n, n + 1))
+    for j in range(n):
+        B[j, j], B[j, j + 1] = -1.0, 1.0
+    S = B @ np.linalg.solve(M, B.T)
+    try:
+        np.linalg.cholesky(0.5 * (S + S.T))
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -30,11 +30,6 @@ def test_tridiagonal_roundtrip():
     x = rng.normal(size=m)
     np.testing.assert_allclose(T.matvec(x), dense @ x, rtol=0, atol=1e-14)
     np.testing.assert_allclose(T.row_sums(), dense.sum(axis=1), rtol=0, atol=1e-14)
-    ab = T.to_banded()
-    assert ab.shape == (3, m)
-    np.testing.assert_array_equal(ab[1], T.diag)
-    np.testing.assert_array_equal(ab[0, 1:], T.upper)
-    np.testing.assert_array_equal(ab[2, :-1], T.lower)
 
 
 def test_tridiagonal_band_length_validation():
@@ -157,12 +152,12 @@ def test_property_pg_mass_row_sums(coeffs, n, seed):
 # ---------------------------------------------------------------------------
 
 def test_divergence_matrix():
+    # the two bands of B = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]
     mesh = build_uniform(3)
-    B = assemble_div(mesh)
-    expected = np.array([[-1.0, 1.0, 0.0, 0.0],
-                         [0.0, -1.0, 1.0, 0.0],
-                         [0.0, 0.0, -1.0, 1.0]])
-    np.testing.assert_array_equal(B, expected)
+    D = assemble_div(mesh)
+    expected = np.array([[-1.0, -1.0, -1.0],
+                         [1.0, 1.0, 1.0]])
+    np.testing.assert_array_equal(D, expected)
 
 
 def test_fv_uniform_stencil():
@@ -198,7 +193,7 @@ def test_fv_matrix_is_schur_complement_of_pg():
     mesh = random_mesh(12, 7)
     m = moments(builtin_spline())
     M = assemble_mass_pg(mesh, m).to_dense()
-    B = assemble_div(mesh)
+    B = np.eye(mesh.n, mesh.n + 1, 1) - np.eye(mesh.n, mesh.n + 1)
     S = B @ np.linalg.solve(M, B.T)
     A, _ = assemble_fv(mesh, lambda x: np.zeros_like(x))
     np.testing.assert_allclose(S, A.to_dense(), rtol=0, atol=1e-11)
@@ -221,6 +216,9 @@ def test_saddle_shape_validation():
         SaddleSystem(mass=M, div_matrix=B.T, rhs_cells=rhs, mesh=mesh)
     with pytest.raises(ValueError):
         SaddleSystem(mass=M, div_matrix=B, rhs_cells=np.zeros(mesh.n + 1), mesh=mesh)
+    skew = TriDiagonal(lower=M.lower, diag=M.diag, upper=2.0 * M.upper)
+    with pytest.raises(ValueError):
+        SaddleSystem(mass=skew, div_matrix=B, rhs_cells=rhs, mesh=mesh)
 
 
 def test_saddle_labels():

@@ -1,14 +1,20 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvpg1d import (DiscreteSolution, RegularFamilySpec, SaddleSystem,
-                    SolverError, TriDiagonal, assemble_div,
+from fvpg1d import (DiscreteSolution, MomentTable, RegularFamilySpec,
+                    SaddleSystem, SolverError, TriDiagonal, assemble_div,
                     assemble_mass_classical, build_random_regular,
                     build_uniform, builtin_affine, builtin_spline, moments,
                     perturbed_family, project_rhs, quadratic_problem,
                     residual, saddle_classical, saddle_pg, sin_problem,
                     solve_fv, solve_mixed, zero_problem)
+from fvpg1d.solver import RESIDUAL_RTOL
+
+from oracles import schur_is_pd
 
 
 def random_mesh(n, seed):
@@ -73,7 +79,7 @@ def test_mixed_pg_cell_conservation():
     f = sin_problem().f
     system = saddle_pg(mesh, moments(builtin_spline()), f)
     sol = solve_mixed(system)
-    balance = system.div_matrix @ sol.p_nodes + system.rhs_cells
+    balance = np.diff(sol.p_nodes) + system.rhs_cells
     assert np.max(np.abs(balance)) < 1e-12
 
 
@@ -125,6 +131,75 @@ def test_mixed_rejects_indefinite_schur():
                           rhs_cells=project_rhs(mesh, sin_problem().f), mesh=mesh)
     with pytest.raises(SolverError):
         solve_mixed(system)
+
+
+def test_schur_gate_matches_dense_oracle():
+    # moment tables over a grid of (m1, m0), including m_psi < 0 with exactly
+    # one negative mass eigenvalue, where the Schur complement stays definite
+    grid = np.linspace(-1.0, 1.0, 11)
+    f = sin_problem().f
+    indefinite_accepted = 0
+    for n in (1, 2, 3, 5, 8, 16):
+        for mesh in (build_uniform(n), random_mesh(n, n)):
+            for m1 in grid:
+                for m0 in grid:
+                    table = MomentTable(m_psi=m1 + m0, m1=m1, m0=m0, s=1.0, c=0.0,
+                                        sd=1.0, cd=0.0)
+                    system = saddle_pg(mesh, table, f)
+                    M = system.mass.to_dense()
+                    eigs = np.linalg.eigvalsh(M)
+                    if np.abs(eigs).min() <= 1e-10 * np.abs(eigs).max():
+                        continue  # singular mass block: rejected, tested above
+                    if schur_is_pd(M):
+                        solve_mixed(system)
+                        indefinite_accepted += eigs.min() < 0.0
+                    else:
+                        with pytest.raises(SolverError, match="not positive definite"):
+                            solve_mixed(system)
+    assert indefinite_accepted > 0
+
+
+SCHEMES = {
+    "fv": lambda mesh, f: solve_fv(mesh, f),
+    "classical": lambda mesh, f: solve_mixed(saddle_classical(mesh, f)),
+    "pg": lambda mesh, f: solve_mixed(saddle_pg(mesh, moments(builtin_spline()), f)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_non_finite_input_raises_solver_error(scheme, bad):
+    mesh = build_uniform(8)
+    f = lambda x: np.where(x > 0.5, bad, 1.0)
+    with pytest.raises(SolverError, match="cell load vector contains NaN or inf"):
+        SCHEMES[scheme](mesh, f)
+    if scheme != "fv":
+        system = saddle_classical(mesh, sin_problem().f)
+        diag = system.mass.diag.copy()
+        diag[3] = bad
+        mass = dataclasses.replace(system.mass, diag=diag)
+        with pytest.raises(SolverError, match="mass block contains NaN or inf"):
+            solve_mixed(dataclasses.replace(system, mass=mass))
+
+
+@pytest.mark.parametrize("build", [
+    lambda mesh, f: saddle_classical(mesh, f),
+    lambda mesh, f: saddle_pg(mesh, moments(builtin_affine()), f),
+], ids=["classical", "pg:affine"])
+def test_mixed_memory_is_linear(build):
+    # no dense block: assembly plus solve stay within 1 KiB per cell
+    n = 2**18
+    mesh = random_mesh(n, 18)
+    f = sin_problem().f
+    tracemalloc.start()
+    try:
+        system = build(mesh, f)
+        sol = solve_mixed(system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1024 * n
+    assert residual(system, sol) <= RESIDUAL_RTOL * max(1.0, np.abs(system.rhs_cells).max())
 
 
 def test_solution_shape_validation():
