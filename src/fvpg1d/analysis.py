@@ -11,23 +11,23 @@ graph norm  ||u||_0^2 + ||p||_0^2 + ||div p||_0^2.  Its smallest generalized
 singular value is the discrete inf-sup constant: bounded away from zero for
 stable weighting functions, and decaying at first order when the reflection
 identity fails; the measured law is delta_T ~ 1/(n sqrt(2 epsilon)), with
-epsilon the reflection defect of ``stability_constants``.
+epsilon the reflection defect of ``stability_constants``.  All of it is O(n):
+banded factorizations and a short Lanczos run, no (2n + 1)^2 matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import (SourceFunction, TriDiagonal, assemble_mass_classical,
-                       assemble_mass_pg, cell_gauss_rule, saddle_classical,
-                       saddle_pg)
+from .assembly import (SourceFunction, TriDiagonal, assemble_div, assemble_mass_pg,
+                       cell_gauss_rule, saddle_bands, saddle_classical, saddle_pg)
 from .mesh import Mesh, RegularFamilySpec, build_random_regular, build_uniform
-from .solver import DiscreteSolution, solve_fv, solve_mixed
-from .weighting import MomentTable, WeightingFunction, moments
+from .solver import DiscreteSolution, SolverError, solve_fv, solve_mixed
+from .weighting import MomentTable, WeightingFunction, builtin_affine, moments
 
 __all__ = [
     "ManufacturedProblem",
@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_ORDER = 8
+INFSUP_RTOL = 1e-10   # Lanczos stop: Ritz residual relative to the Ritz value
+INFSUP_MAXITER = 60   # 6-13 steps suffice in the tested cases, whatever n is
 
 
 # ---------------------------------------------------------------------------
@@ -277,83 +279,82 @@ class InfSupReport:
     mesh_id: str = ""
 
 
-def _p1_stiffness(mesh: Mesh) -> TriDiagonal:
-    inv = 1.0 / mesh.cell_widths
-    diag = np.zeros(mesh.n + 1)
-    diag[:-1] += inv
-    diag[1:] += inv
-    return TriDiagonal(lower=-inv, diag=diag, upper=-inv)
-
-
-def _vnorm_gram_trial(mesh: Mesh) -> np.ndarray:
-    """Graph-norm Gram matrix on cell constants x hat functions."""
-    p_block = assemble_mass_classical(mesh).to_dense() + _p1_stiffness(mesh).to_dense()
-    return scipy.linalg.block_diag(np.diag(mesh.cell_widths), p_block)
-
-
-def _vnorm_gram_test(mesh: Mesh, m: MomentTable) -> np.ndarray:
-    """Graph-norm Gram matrix on cell constants x psi nodal functions."""
+def _nodal_gram(mesh: Mesh, m: MomentTable):
+    """Graph-norm Gram matrix of the psi nodal functions (the hat functions
+    for the affine table) and its banded Cholesky factor."""
+    if not np.isfinite(astuple(m)).all():
+        raise ValueError("weighting-function moments contain NaN or inf")
     h = mesh.cell_widths
-    diag = np.zeros(mesh.n + 1)
-    contrib = m.s * h + m.sd / h
-    diag[:-1] += contrib
-    diag[1:] += contrib
-    off = m.c * h - m.cd / h
-    q_block = TriDiagonal(lower=off, diag=diag, upper=off).to_dense()
-    return scipy.linalg.block_diag(np.diag(h), q_block)
+    cell, off = m.s * h + m.sd / h, m.c * h - m.cd / h
+    T = TriDiagonal(lower=off, diag=np.append(cell, 0.0) + np.append(0.0, cell), upper=off)
+    factor, info = scipy.linalg.lapack.dpbtrf(np.vstack((np.append(0.0, off), T.diag)))
+    if info != 0:
+        raise ValueError("degenerate weighting function: its Gram matrix is not positive definite")
+    return T, factor
 
 
-def _coupling_matrix(mesh: Mesh, m: MomentTable) -> np.ndarray:
-    """Matrix of the coupling form, test rows (v, q) by trial columns (u, p)."""
-    n = mesh.n
-    B = np.eye(n, n + 1, 1) - np.eye(n, n + 1)
-    G = np.zeros((2 * n + 1, 2 * n + 1))
-    G[:n, n:] = B                                      # (div p, v)
-    G[n:, :n] = B.T                                    # (u, div q)
-    G[n:, n:] = assemble_mass_pg(mesh, m).to_dense().T  # (p, q)
-    return G
-
-
-def _whitened_coupling(mesh: Mesh, m: MomentTable) -> np.ndarray:
-    G1 = _vnorm_gram_trial(mesh)
-    G2 = _vnorm_gram_test(mesh, m)
-    try:
-        L1 = np.linalg.cholesky(G1)
-        L2 = np.linalg.cholesky(G2)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("norm Gram matrix is not positive definite "
-                         "(degenerate weighting function)") from exc
-    Y = scipy.linalg.solve_triangular(L2, _coupling_matrix(mesh, m), lower=True)
-    return scipy.linalg.solve_triangular(L1, Y.T, lower=True).T
+def _largest_eigenvalue(apply_op: Callable, gram: Callable, start: np.ndarray) -> float:
+    """Largest eigenvalue of an operator self-adjoint in <x, y> = x^t gram(y),
+    by Lanczos with full reorthogonalization; ``apply_op`` receives gram(x).
+    Stops once the Ritz residual |beta_k s_k| <= INFSUP_RTOL * theta_k."""
+    basis, alpha, beta = [], [], []
+    w, gw = start, gram(start)
+    norm = np.sqrt(w @ gw)
+    for k in range(min(INFSUP_MAXITER, start.size)):
+        basis.append((w / norm, gw / norm))
+        w = apply_op(basis[-1][1])
+        alpha.append(basis[-1][1] @ w)
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthogonal
+            for b, gb in basis:
+                w -= (gb @ w) * b
+        gw = gram(w)
+        norm = np.sqrt(max(w @ gw, 0.0))
+        theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
+        if norm * abs(s[-1, 0]) <= INFSUP_RTOL * theta[0] or k + 1 == start.size:
+            return float(theta[0])
+        beta.append(norm)
+    raise SolverError(f"inf-sup eigensolver did not converge in {INFSUP_MAXITER} steps")
 
 
 def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
                     mesh_id: str = "") -> InfSupReport:
     """Discrete inf-sup constant of the coupling form in the graph norms.
 
-    Computed as the smallest singular value of the coupling matrix whitened
-    by Cholesky factors of the two norm Gram matrices (dense; sizes stay at
-    2n + 1).
+    delta_T = 1/sqrt(theta), theta the largest eigenvalue of G^{-1} G2 G^{-t} G1
+    for the coupling matrix G and the trial and test Gram matrices G1, G2.
+    Interleaved as in ``solve_mixed`` all three are (2, 2)-banded and G is the
+    pg saddle matrix: one banded LU and a few Lanczos steps, O(n) in all.
     """
-    Z = _whitened_coupling(mesh, m)
-    sigma = np.linalg.svd(Z, compute_uv=False)
-    return InfSupReport(n=mesh.n, delta_T=float(sigma[-1]), psi_id=psi_id, mesh_id=mesh_id)
+    T2, _ = _nodal_gram(mesh, m)
+    T1, _ = _nodal_gram(mesh, moments(builtin_affine()))
+    ab = saddle_bands(assemble_mass_pg(mesh, m), assemble_div(mesh))
+    lu, piv, info = scipy.linalg.lapack.dgbtrf(np.vstack((np.zeros((2, ab.shape[1])), ab)), 2, 2)
+
+    def gram(T, x):  # blockdiag(T, diag(h)), interleaved
+        y = np.empty_like(x)
+        y[0::2], y[1::2] = T.matvec(x[0::2]), mesh.cell_widths * x[1::2]
+        return y
+
+    def apply_op(g1x):
+        z = scipy.linalg.lapack.dgbtrs(lu, 2, 2, g1x, piv, trans=1)[0]
+        return scipy.linalg.lapack.dgbtrs(lu, 2, 2, gram(T2, z), piv)[0]
+
+    theta = (np.inf if info else  # an exact zero pivot: G is singular, delta_T = 0
+             _largest_eigenvalue(apply_op, lambda x: gram(T1, x), np.ones(ab.shape[1])))
+    return InfSupReport(mesh.n, float(1.0 / np.sqrt(theta)), psi_id, mesh_id)
 
 
 def infsup_witness_sup(mesh: Mesh, m: MomentTable) -> float:
     """Best normalized test response to the trial pair u = 1, p = 0.
 
     This particular trial direction has unit graph norm and is the one along
-    which unstable weighting functions lose the inf-sup bound as n grows.
+    which unstable weighting functions lose the inf-sup bound as n grows.  Its
+    response r = G xi is B^t 1 on the nodes and 0 on the cells.
     """
-    G2 = _vnorm_gram_test(mesh, m)
-    try:
-        L2 = np.linalg.cholesky(G2)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("test-norm Gram matrix is not positive definite") from exc
-    xi = np.concatenate([np.ones(mesh.n), np.zeros(mesh.n + 1)])
-    y = scipy.linalg.solve_triangular(L2, _coupling_matrix(mesh, m) @ xi, lower=True)
-    return float(np.linalg.norm(y))
+    _, factor = _nodal_gram(mesh, m)
+    D = assemble_div(mesh)
+    r = np.append(D[0], 0.0) + np.append(0.0, D[1])
+    return float(np.sqrt(r @ scipy.linalg.lapack.dpbtrs(factor, r)[0]))
 
 
 # ---------------------------------------------------------------------------

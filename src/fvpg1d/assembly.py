@@ -63,11 +63,6 @@ class TriDiagonal:
         m = self.diag.size
         return (m, m)
 
-    def to_dense(self) -> np.ndarray:
-        return (np.diag(self.diag)
-                + np.diag(self.lower, k=-1)
-                + np.diag(self.upper, k=1))
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         y = self.diag * x
@@ -200,6 +195,17 @@ class SaddleSystem:
             raise ValueError("divergence block must be stored as its two bands, shape (2, n)")
         if self.rhs_cells.shape != (n,):
             raise ValueError("rhs must have one entry per cell")
+
+
+def saddle_bands(mass: TriDiagonal, div_matrix: np.ndarray) -> np.ndarray:
+    """[[M, B^t], [B, 0]] in (2, 2)-band storage, ab[2 + i - j, j] = entry (i, j),
+    with the unknowns interleaved: p_j is unknown 2j and u_l is 2l + 1."""
+    ab = np.zeros((5, 2 * div_matrix.shape[1] + 1))
+    ab[0, 2::2] = mass.upper
+    ab[1, 1:] = ab[3, :-1] = div_matrix.T.ravel()  # B and B^t, mirrored about the diagonal
+    ab[2, 0::2] = mass.diag
+    ab[4, :-1:2] = mass.lower
+    return ab
 
 
 def saddle_classical(mesh: Mesh, f: Union[SourceFunction, Callable],

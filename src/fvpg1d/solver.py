@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .assembly import SaddleSystem, assemble_fv
+from .assembly import SaddleSystem, assemble_fv, saddle_bands
 from .mesh import Mesh
 
 __all__ = ["SolverError", "DiscreteSolution", "solve_fv", "solve_mixed", "residual"]
@@ -67,13 +67,12 @@ def solve_fv(mesh: Mesh, f, quad_order: int = 8) -> DiscreteSolution:
 
 
 def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
-    """Solve a saddle system with one banded LU.
+    """Solve a saddle system with one banded LU of ``saddle_bands``.
 
-    With the unknowns ordered (p_0, u_0, p_1, u_1, ..., p_n) the block matrix
-    [[M, B^t], [B, 0]] is (2, 2)-banded; partial pivoting handles the zero
-    diagonal of the cell rows.  Raises SolverError on non-finite input, a
-    singular mass block, a Schur complement B M^{-1} B^t that is not positive
-    definite, or a block residual above 1e-10 relative.
+    Partial pivoting handles the zero diagonal of the cell rows.  Raises
+    SolverError on non-finite input, a singular mass block, a Schur complement
+    B M^{-1} B^t that is not positive definite, or a block residual above
+    1e-10 relative.
     """
     M, D, f_cells = system.mass, system.div_matrix, system.rhs_cells
     _require_finite("mass block", M.lower, M.diag, M.upper)
@@ -87,16 +86,10 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
     # exactly when M has no negative eigenvalue, or one and 1^t M 1 < 0
     if low.size > 1 or (low.size == 1 and M.row_sums().sum() >= 0.0):
         raise SolverError("Schur complement is not positive definite")
-    # ab[2 + i - j, j] holds entry (i, j); p_j is unknown 2j and u_l is 2l + 1
-    ab = np.zeros((5, 2 * system.mesh.n + 1))
-    ab[0, 2::2] = M.upper
-    ab[1, 1:] = ab[3, :-1] = D.T.ravel()  # B and B^t, mirrored about the diagonal
-    ab[2, 0::2] = M.diag
-    ab[4, :-1:2] = M.lower
-    rhs = np.zeros(ab.shape[1])
+    rhs = np.zeros(2 * system.mesh.n + 1)
     rhs[1::2] = -f_cells
     try:
-        x = scipy.linalg.solve_banded((2, 2), ab, rhs, check_finite=False)
+        x = scipy.linalg.solve_banded((2, 2), saddle_bands(M, D), rhs, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError("saddle system is singular") from exc
     solution = DiscreteSolution(u_cells=x[1::2], p_nodes=x[0::2], mesh=system.mesh,

@@ -1,15 +1,18 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing in here imports from the package under test.  Four tools:
+Nothing in here imports from the package under test.  Five tools:
 
 * exact polynomial calculus over ``fractions.Fraction`` (integration of the
   weighting-function moments without any floating-point rounding);
 * a composite Simpson rule (independent of Gauss-Legendre) for callables;
 * a brute-force inf-sup oracle that assembles every matrix by pointwise
   quadrature over basis functions and extracts the constant from a
-  generalized eigenproblem instead of a whitened SVD;
+  generalized eigenproblem;
+* the dense inf-sup estimator: Gram and coupling matrices built from the
+  moment table, whitened by Cholesky factors, smallest singular value, and
+  the witness supremum from the same matrices;
 * a dense test of whether the Schur complement of a mixed system is
-  positive definite.
+  positive definite, and a dense copy of a tridiagonal band container.
 """
 
 from fractions import Fraction
@@ -173,8 +176,69 @@ def oracle_infsup(vertices, psi, dpsi, order=24):
 
 
 # ---------------------------------------------------------------------------
-# dense Schur-complement test
+# dense whitened-SVD inf-sup estimator
 # ---------------------------------------------------------------------------
+
+def _dense_infsup_blocks(vertices, m):
+    """Dense graph-norm Gram matrices G1 (trial), G2 (test) and the coupling
+    matrix G, blocks ordered (cells, nodes).
+
+    ``m`` is any object with the moment attributes m0, m1, s, c, sd, cd.
+    The trial nodal block is the hat mass matrix plus the hat stiffness
+    matrix; the test nodal block adds h (s, c; c, s) + (1/h) (sd, -cd; -cd, sd)
+    per cell; G holds (div p, v), (u, div q) and (p, q), test rows by trial
+    columns.
+    """
+    h = np.diff(np.asarray(vertices, dtype=float))
+    n = h.size
+    dual = 0.5 * (np.append(h, 0.0) + np.append(0.0, h))
+
+    def nodal(diag, off):
+        return np.diag(diag) + np.diag(off, k=1) + np.diag(off, k=-1)
+
+    def per_cell(cell, off):
+        return nodal(np.append(cell, 0.0) + np.append(0.0, cell), off)
+
+    hat_mass = nodal((2.0 / 3.0) * dual, h / 6.0)
+    hat_stiffness = per_cell(1.0 / h, -1.0 / h)
+    G1 = scipy.linalg.block_diag(np.diag(h), hat_mass + hat_stiffness)
+    G2 = scipy.linalg.block_diag(np.diag(h), per_cell(m.s * h + m.sd / h, m.c * h - m.cd / h))
+    B = np.eye(n, n + 1, 1) - np.eye(n, n + 1)
+    G = np.zeros((2 * n + 1, 2 * n + 1))
+    G[:n, n:] = B                                            # (div p, v)
+    G[n:, :n] = B.T                                          # (u, div q)
+    G[n:, n:] = nodal(2.0 * m.m1 * dual, m.m0 * h).T         # (p, q)
+    return G1, G2, G
+
+
+def dense_infsup(vertices, m):
+    """Smallest singular value of L2^{-1} G L1^{-t}, with L1, L2 the Cholesky
+    factors of the two Gram matrices: O(n^3) time, O(n^2) memory."""
+    G1, G2, G = _dense_infsup_blocks(vertices, m)
+    L1 = np.linalg.cholesky(G1)
+    L2 = np.linalg.cholesky(G2)
+    Y = scipy.linalg.solve_triangular(L2, G, lower=True)
+    Z = scipy.linalg.solve_triangular(L1, Y.T, lower=True).T
+    return float(np.linalg.svd(Z, compute_uv=False)[-1])
+
+
+def dense_witness_sup(vertices, m):
+    """||L2^{-1} G xi|| for the trial pair xi = (u = 1, p = 0)."""
+    _, G2, G = _dense_infsup_blocks(vertices, m)
+    n = (G.shape[0] - 1) // 2
+    xi = np.concatenate([np.ones(n), np.zeros(n + 1)])
+    y = scipy.linalg.solve_triangular(np.linalg.cholesky(G2), G @ xi, lower=True)
+    return float(np.linalg.norm(y))
+
+
+# ---------------------------------------------------------------------------
+# dense Schur-complement test and band containers
+# ---------------------------------------------------------------------------
+
+def dense_tridiagonal(T):
+    """Dense copy of a tridiagonal matrix stored as ``lower``, ``diag``, ``upper``."""
+    return np.diag(T.diag) + np.diag(T.lower, k=-1) + np.diag(T.upper, k=1)
+
 
 def schur_is_pd(M_dense):
     """Whether B M^{-1} B^t is positive definite for the (n+1) x (n+1) mass M.

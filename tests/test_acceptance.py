@@ -312,7 +312,7 @@ def test_criterion_10_stable_floor():
 
 
 def test_criterion_11_oracle_equivalence():
-    """The whitened-SVD estimator matches a from-scratch quadrature oracle."""
+    """The banded inf-sup estimator matches a from-scratch quadrature oracle."""
     t0 = time.perf_counter()
     families = {
         "affine": [1.0, 0.0],

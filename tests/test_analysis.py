@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fvpg1d import (ConvergenceTable, ErrorReport, ManufacturedProblem,
-                    RegularFamilySpec, SourceFunction, build_random_regular,
+import fvpg1d
+from fvpg1d import (ConvergenceTable, ErrorReport, ManufacturedProblem, MomentTable,
+                    RegularFamilySpec, SolverError, SourceFunction, build_random_regular,
                     build_uniform, builtin_affine, builtin_spline,
                     convergence_study, discrete_norm_q, error_norms, fit_rate,
                     get_problem, infsup_constant, infsup_sweep,
@@ -12,7 +18,7 @@ from fvpg1d import (ConvergenceTable, ErrorReport, ManufacturedProblem,
                     quadratic_problem, run_scheme, sin_problem,
                     stability_constants, solve_fv, zero_problem)
 
-from oracles import simpson
+from oracles import dense_infsup, dense_witness_sup, simpson
 
 
 def random_mesh(n, seed):
@@ -303,6 +309,66 @@ def test_infsup_degenerate_psi_raises():
     zero = WeightingFunction.from_coefficients([0.0])
     with pytest.raises(ValueError):
         infsup_constant(build_uniform(4), moments(zero))
+
+
+def test_infsup_rejects_non_finite_moments():
+    table = MomentTable(m_psi=np.nan, m1=np.nan, m0=np.nan, s=np.inf, c=0.0,
+                        sd=1.0, cd=0.0)
+    for estimator in (infsup_constant, infsup_witness_sup):
+        with pytest.raises(ValueError, match="weighting-function moments"):
+            estimator(build_uniform(4), table)
+
+
+def test_infsup_singular_coupling_is_zero():
+    # a zero pg mass leaves [[0, B^t], [B, 0]], rank 2n: an exact zero pivot
+    table = MomentTable(m_psi=0.0, m1=0.0, m0=0.0, s=1.0, c=0.0, sd=1.0, cd=0.0)
+    assert infsup_constant(build_uniform(4), table).delta_T == 0.0
+
+
+def test_infsup_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(fvpg1d.analysis, "INFSUP_MAXITER", 3)
+    with pytest.raises(SolverError, match="did not converge"):
+        infsup_constant(build_uniform(64), moments(builtin_spline()))
+
+
+INFSUP_FAMILIES = {"spline": builtin_spline, "affine": builtin_affine,
+                   "perturbed:1": lambda: perturbed_family(1.0)}
+
+
+@pytest.mark.parametrize("name", sorted(INFSUP_FAMILIES))
+def test_infsup_matches_dense_oracle(name):
+    # banded Lanczos against the dense whitened SVD, banded witness against
+    # the dense triangular solve, on uniform and regular meshes
+    m = moments(INFSUP_FAMILIES[name]())
+    for n in (2, 3, 8, 64, 257, 512):
+        for mesh in (build_uniform(n), random_mesh(n, n)):
+            ref = dense_infsup(mesh.vertices, m)
+            assert abs(infsup_constant(mesh, m).delta_T - ref) <= 1e-10 * ref
+            ref = dense_witness_sup(mesh.vertices, m)
+            assert abs(infsup_witness_sup(mesh, m) - ref) <= 1e-12 * ref
+
+
+def test_infsup_perturbed_law_at_large_n():
+    # delta_T ~ 1/(n sqrt(2 eps)) on uniform meshes, pinned where the dense
+    # estimator could not go
+    m = moments(perturbed_family(1.0))
+    n = 2 ** 14
+    eps = stability_constants(m).epsilon
+    delta = infsup_constant(build_uniform(n), m).delta_T
+    assert abs(delta * n * np.sqrt(2.0 * eps) - 1.0) <= 1e-5
+
+
+def test_infsup_leaves_scipy_sparse_unimported():
+    # structural guard on import cost: the estimator needs only scipy.linalg
+    code = ("import sys, fvpg1d, fvpg1d.cli\n"
+            "fvpg1d.infsup_constant(fvpg1d.build_uniform(8),"
+            " fvpg1d.moments(fvpg1d.builtin_spline()))\n"
+            "assert 'scipy.sparse' not in sys.modules\n")
+    path = [str(Path(fvpg1d.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------

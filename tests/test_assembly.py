@@ -9,7 +9,7 @@ from fvpg1d import (Mesh, RegularFamilySpec, SaddleSystem, SourceFunction,
                     builtin_spline, moments, perturbed_family, project_rhs,
                     sin_problem)
 
-from oracles import simpson
+from oracles import dense_tridiagonal, simpson
 
 
 def random_mesh(n, seed):
@@ -25,7 +25,7 @@ def test_tridiagonal_roundtrip():
     m = 7
     T = TriDiagonal(lower=rng.normal(size=m - 1), diag=rng.normal(size=m),
                     upper=rng.normal(size=m - 1))
-    dense = T.to_dense()
+    dense = dense_tridiagonal(T)
     assert T.shape == (m, m)
     x = rng.normal(size=m)
     np.testing.assert_allclose(T.matvec(x), dense @ x, rtol=0, atol=1e-14)
@@ -41,7 +41,7 @@ def test_tridiagonal_band_length_validation():
 
 def test_tridiagonal_single_entry():
     T = TriDiagonal(lower=np.zeros(0), diag=np.array([3.0]), upper=np.zeros(0))
-    np.testing.assert_array_equal(T.to_dense(), [[3.0]])
+    np.testing.assert_array_equal(dense_tridiagonal(T), [[3.0]])
     np.testing.assert_array_equal(T.matvec(np.array([2.0])), [6.0])
 
 
@@ -95,7 +95,7 @@ def test_classical_mass_structure():
     # row sums collapse to the dual widths
     np.testing.assert_allclose(M.row_sums(), mesh.dual_widths, rtol=0, atol=1e-15)
     # symmetric positive definite
-    eigs = np.linalg.eigvalsh(M.to_dense())
+    eigs = np.linalg.eigvalsh(dense_tridiagonal(M))
     assert eigs.min() > 0.0
 
 
@@ -103,7 +103,8 @@ def test_pg_mass_affine_equals_classical():
     mesh = random_mesh(9, 2)
     M_pg = assemble_mass_pg(mesh, moments(builtin_affine()))
     M_cl = assemble_mass_classical(mesh)
-    np.testing.assert_allclose(M_pg.to_dense(), M_cl.to_dense(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_tridiagonal(M_pg), dense_tridiagonal(M_cl),
+                               rtol=0, atol=1e-15)
 
 
 def test_pg_mass_spline_is_dual_width_diagonal():
@@ -117,7 +118,7 @@ def test_pg_mass_entries_against_direct_integration():
     # entry (i, j) = int hat_i * psi_j over the two shared cells
     mesh = random_mesh(4, 5)
     psi = builtin_spline()
-    M = assemble_mass_pg(mesh, moments(psi)).to_dense()
+    M = dense_tridiagonal(assemble_mass_pg(mesh, moments(psi)))
     rev = list(psi.coefficients[::-1])
     f = lambda t: np.polyval(rev, t)
     i = 2  # interior vertex with interior neighbours
@@ -174,7 +175,7 @@ def test_fv_uniform_stencil():
 
 def test_fv_single_cell():
     A, b = assemble_fv(build_uniform(1), sin_problem().f)
-    np.testing.assert_allclose(A.to_dense(), [[4.0]], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_tridiagonal(A), [[4.0]], rtol=0, atol=1e-15)
     assert abs(b[0] - 2.0 * np.pi) < 1e-14  # integral of pi^2 sin(pi x)
 
 
@@ -184,7 +185,7 @@ def test_fv_nonuniform_entries():
     inv = 1.0 / mesh.dual_widths
     np.testing.assert_allclose(A.diag, inv[:-1] + inv[1:], rtol=0, atol=1e-13)
     np.testing.assert_allclose(A.lower, -inv[1:-1], rtol=0, atol=1e-13)
-    eigs = np.linalg.eigvalsh(A.to_dense())
+    eigs = np.linalg.eigvalsh(dense_tridiagonal(A))
     assert eigs.min() > 0.0
 
 
@@ -192,11 +193,11 @@ def test_fv_matrix_is_schur_complement_of_pg():
     # eliminating the diagonal PG mass reproduces the fv cell matrix
     mesh = random_mesh(12, 7)
     m = moments(builtin_spline())
-    M = assemble_mass_pg(mesh, m).to_dense()
+    M = dense_tridiagonal(assemble_mass_pg(mesh, m))
     B = np.eye(mesh.n, mesh.n + 1, 1) - np.eye(mesh.n, mesh.n + 1)
     S = B @ np.linalg.solve(M, B.T)
     A, _ = assemble_fv(mesh, lambda x: np.zeros_like(x))
-    np.testing.assert_allclose(S, A.to_dense(), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(S, dense_tridiagonal(A), rtol=0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------

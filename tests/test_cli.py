@@ -238,6 +238,13 @@ def test_infsup_unwritable_output(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec", ["poly:nan", "poly:inf,1"])
+def test_infsup_non_finite_psi_is_one_line_error(spec, tmp_path, capsys):
+    assert run(["infsup", "--psi", spec, "-o", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: weighting-function moments contain NaN or inf"]
+
+
 def test_infsup_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["infsup", "--mesh", "regular", "--seed", "9", "--psi", "perturbed:1",

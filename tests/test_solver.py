@@ -14,7 +14,7 @@ from fvpg1d import (DiscreteSolution, MomentTable, RegularFamilySpec,
                     solve_fv, solve_mixed, zero_problem)
 from fvpg1d.solver import RESIDUAL_RTOL
 
-from oracles import schur_is_pd
+from oracles import dense_tridiagonal, schur_is_pd
 
 
 def random_mesh(n, seed):
@@ -146,7 +146,7 @@ def test_schur_gate_matches_dense_oracle():
                     table = MomentTable(m_psi=m1 + m0, m1=m1, m0=m0, s=1.0, c=0.0,
                                         sd=1.0, cd=0.0)
                     system = saddle_pg(mesh, table, f)
-                    M = system.mass.to_dense()
+                    M = dense_tridiagonal(system.mass)
                     eigs = np.linalg.eigvalsh(M)
                     if np.abs(eigs).min() <= 1e-10 * np.abs(eigs).max():
                         continue  # singular mass block: rejected, tested above
