@@ -176,7 +176,8 @@ class SaddleSystem:
     ``mass`` is the (possibly cross) mass matrix, ``rhs_cells`` the cell loads
     and ``div_matrix`` the two bands of the n x (n+1) divergence block, shape
     (2, n): B[l, l] = div_matrix[0, l] and B[l, l+1] = div_matrix[1, l].  The
-    mass block must be symmetric, so trial-row and test-row orientations agree.
+    mass block must be symmetric, so trial-row and test-row orientations agree,
+    and B the (-1, +1) pattern of ``assemble_div`` that ``flux_balance`` assumes.
     """
 
     mass: TriDiagonal
@@ -191,21 +192,10 @@ class SaddleSystem:
             raise ValueError("mass block must be (n+1) x (n+1)")
         if not np.array_equal(self.mass.lower, self.mass.upper, equal_nan=True):
             raise ValueError("mass block must be symmetric")
-        if self.div_matrix.shape != (2, n):
-            raise ValueError("divergence block must be stored as its two bands, shape (2, n)")
+        if not np.array_equal(self.div_matrix, assemble_div(self.mesh)):
+            raise ValueError("divergence block must be the two (-1, +1) difference bands")
         if self.rhs_cells.shape != (n,):
             raise ValueError("rhs must have one entry per cell")
-
-
-def saddle_bands(mass: TriDiagonal, div_matrix: np.ndarray) -> np.ndarray:
-    """[[M, B^t], [B, 0]] in (2, 2)-band storage, ab[2 + i - j, j] = entry (i, j),
-    with the unknowns interleaved: p_j is unknown 2j and u_l is 2l + 1."""
-    ab = np.zeros((5, 2 * div_matrix.shape[1] + 1))
-    ab[0, 2::2] = mass.upper
-    ab[1, 1:] = ab[3, :-1] = div_matrix.T.ravel()  # B and B^t, mirrored about the diagonal
-    ab[2, 0::2] = mass.diag
-    ab[4, :-1:2] = mass.lower
-    return ab
 
 
 def saddle_classical(mesh: Mesh, f: Union[SourceFunction, Callable],

@@ -1,21 +1,22 @@
-"""Direct solvers for the cell system and the block saddle systems.
+"""Direct solvers: every scheme is one block saddle system.
 
-Everything is banded: the finite-volume path is one symmetric tridiagonal
-solve, the mixed path one banded LU of the whole saddle system with the
-unknowns interleaved as (p_0, u_0, p_1, u_1, ..., p_n).  No iterative methods.
+fv, classical and pg all solve [[M, B^t], [B, 0]] (p, u) = (g, f), with B the
+(-1, +1) divergence of ``assemble_div``; fv has M = diag(dual widths).  One
+kernel, ``flux_balance``, solves it with two prefix sums and no factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 
-from .assembly import SaddleSystem, assemble_fv, saddle_bands
+from .assembly import SaddleSystem, project_rhs
 from .mesh import Mesh
 
-__all__ = ["SolverError", "DiscreteSolution", "solve_fv", "solve_mixed", "residual"]
+__all__ = ["SolverError", "DiscreteSolution", "flux_balance", "solve_fv", "solve_mixed", "residual"]
 
 RESIDUAL_RTOL = 1e-10
 
@@ -43,38 +44,43 @@ class DiscreteSolution:
             raise ValueError("solution arrays do not match the mesh")
 
 
+def flux_balance(apply_mass: Callable, row_sums: np.ndarray, f: np.ndarray, g=None):
+    """Solve [[M, B^t], [B, 0]] (p, u) = (g, f), M symmetric, g = 0 if None.
+
+    ``apply_mass`` computes M p and ``row_sums`` is r = M 1.  The cell rows give
+    p = C + p0, C = [0, cumsum(f)]; the gradient rows u = cumsum(M p - g)[:-1],
+    and their last row p0 = (1^t g - r^t C) / 1^t r.  Returns (p, u); the system
+    is singular exactly when 1^t r = 0."""
+    p = np.zeros(f.size + 1)
+    np.cumsum(f, out=p[1:])
+    p += ((0.0 if g is None else g.sum()) - row_sums @ p) / row_sums.sum()
+    flux = apply_mass(p) if g is None else apply_mass(p) - g
+    return p, np.cumsum(flux, out=flux)[:-1]
+
+
 def solve_fv(mesh: Mesh, f, quad_order: int = 8) -> DiscreteSolution:
     """Solve the heuristic finite-volume scheme.
 
-    The cell system is solved with a symmetric banded factorization; the
-    gradient is then recovered from the dual-width difference quotients with
-    zero ghost values outside the interval, so the cell balance
+    It is the saddle system with M = diag(dual widths): the gradient p_j is
+    the difference quotient (u_j - u_{j-1}) / dual width, with zero ghost
+    values outside the interval, and the cell balance
     p_{j+1} - p_j + int_cell f = 0 holds to rounding by construction.
     """
-    A, b = assemble_fv(mesh, f, quad_order)
-    _require_finite("cell load vector", b)
-    if mesh.n == 1:  # scipy's banded tridiagonal path rejects 1x1 systems
-        u = b / A.diag
-    else:
-        ab = np.vstack((np.append(0.0, A.upper), A.diag))  # upper-form bands
-        try:
-            u = scipy.linalg.solveh_banded(ab, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("finite-volume cell system is not positive definite") from exc
-    u_ext = np.concatenate(([0.0], u, [0.0]))
-    p = np.diff(u_ext) / mesh.dual_widths
+    loads = project_rhs(mesh, f, quad_order)
+    _require_finite("cell load vector", loads)
+    w = mesh.dual_widths
+    p, u = flux_balance(lambda x: w * x, w, -loads)
     return DiscreteSolution(u_cells=u, p_nodes=p, mesh=mesh, scheme="fv")
 
 
 def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
-    """Solve a saddle system with one banded LU of ``saddle_bands``.
+    """Solve a saddle system with ``flux_balance`` behind a rejection gate.
 
-    Partial pivoting handles the zero diagonal of the cell rows.  Raises
-    SolverError on non-finite input, a singular mass block, a Schur complement
-    B M^{-1} B^t that is not positive definite, or a block residual above
-    1e-10 relative.
+    Raises SolverError on non-finite input, a singular mass block, a Schur
+    complement B M^{-1} B^t that is not positive definite, or a block
+    residual above 1e-10 relative.
     """
-    M, D, f_cells = system.mass, system.div_matrix, system.rhs_cells
+    M, f_cells = system.mass, system.rhs_cells
     _require_finite("mass block", M.lower, M.diag, M.upper)
     _require_finite("cell load vector", f_cells)
     tol = 1e-12 * (np.abs(M.diag).max() + 2.0 * np.abs(M.upper).max())
@@ -82,22 +88,18 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
                                             select_range=(-np.inf, tol))
     if np.any(np.abs(low) <= tol):
         raise SolverError("mass block is singular")
+    r = M.row_sums()
     # B has the constants as its kernel, so B M^{-1} B^t is positive definite
     # exactly when M has no negative eigenvalue, or one and 1^t M 1 < 0
-    if low.size > 1 or (low.size == 1 and M.row_sums().sum() >= 0.0):
+    if low.size > 1 or (low.size == 1 and r.sum() >= 0.0):
         raise SolverError("Schur complement is not positive definite")
-    rhs = np.zeros(2 * system.mesh.n + 1)
-    rhs[1::2] = -f_cells
-    try:
-        x = scipy.linalg.solve_banded((2, 2), saddle_bands(M, D), rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("saddle system is singular") from exc
-    solution = DiscreteSolution(u_cells=x[1::2], p_nodes=x[0::2], mesh=system.mesh,
+    p, u = flux_balance(M.matvec, r, -f_cells)
+    solution = DiscreteSolution(u_cells=u, p_nodes=p, mesh=system.mesh,
                                 scheme=system.label or "mixed")
-    r = residual(system, solution)
+    res = residual(system, solution)
     scale = max(1.0, float(np.abs(f_cells).max()))
-    if not np.isfinite(r) or r > RESIDUAL_RTOL * scale:
-        raise SolverError(f"block residual {r:.3e} exceeds {RESIDUAL_RTOL:.0e} relative")
+    if not np.isfinite(res) or res > RESIDUAL_RTOL * scale:
+        raise SolverError(f"block residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} relative")
     return solution
 
 

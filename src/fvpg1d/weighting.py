@@ -29,7 +29,7 @@ algebra; callable ones fall back to Gauss-Legendre quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,6 +59,7 @@ MOMENT_TOL = 1e-12  # integral conditions (orthogonality, fv compatibility)
 DEFAULT_QUAD_ORDER = 16
 _FD_STEP = 1e-6
 MAX_QUAD_ORDER = 32
+NON_FINITE_MOMENTS = "weighting-function moments contain NaN or inf"
 
 
 def gauss_legendre(order: int):
@@ -121,6 +122,8 @@ class WeightingFunction:
     @classmethod
     def from_coefficients(cls, coeffs, label: Optional[str] = None) -> "WeightingFunction":
         coeffs = tuple(float(c) for c in coeffs)
+        if not all(math.isfinite(c) for c in coeffs):  # its moments would not be finite
+            raise ValueError(NON_FINITE_MOMENTS)
         if not coeffs:
             coeffs = (0.0,)
         if label is None:
@@ -160,6 +163,8 @@ class MomentTable:
     cd: float     # int psi'(theta) * psi'(1 - theta)
 
     def __post_init__(self):
+        if not np.isfinite(astuple(self)).all():
+            raise ValueError(NON_FINITE_MOMENTS)
         scale = 1.0 + abs(self.s) + abs(self.sd)
         if abs(self.m_psi - (self.m0 + self.m1)) > 1e-10 * scale:
             raise ValueError("inconsistent moments: m_psi must equal m0 + m1")

@@ -215,6 +215,8 @@ def test_saddle_shape_validation():
         SaddleSystem(mass=small, div_matrix=B, rhs_cells=rhs, mesh=mesh)
     with pytest.raises(ValueError):
         SaddleSystem(mass=M, div_matrix=B.T, rhs_cells=rhs, mesh=mesh)
+    with pytest.raises(ValueError, match="difference bands"):
+        SaddleSystem(mass=M, div_matrix=-B, rhs_cells=rhs, mesh=mesh)
     with pytest.raises(ValueError):
         SaddleSystem(mass=M, div_matrix=B, rhs_cells=np.zeros(mesh.n + 1), mesh=mesh)
     skew = TriDiagonal(lower=M.lower, diag=M.diag, upper=2.0 * M.upper)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fvpg1d
 from fvpg1d import cli
 
 
@@ -59,6 +64,17 @@ def test_psi_check_exit_codes(tmp_path, capsys):
     assert run(["psi-check", "--psi", "nope:1"]) == 1
     assert run(["psi-check", "--require", "frobnicate"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["poly:nan", "poly:inf,1", "perturbed:nan"])
+def test_non_finite_psi_is_one_line_error_in_a_fresh_process(spec):
+    # a real process, so a numpy RuntimeWarning would show on stderr too
+    path = [str(Path(fvpg1d.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run([sys.executable, "-m", "fvpg1d.cli", "psi-check", "--psi", spec],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == ["error: weighting-function moments contain NaN or inf"]
 
 
 def test_psi_check_report_payload(tmp_path, capsys):
@@ -131,6 +147,16 @@ def test_solve_compare_paths(tmp_path, capsys):
     assert "MISMATCH" in err
 
 
+@pytest.mark.parametrize("n", [2**16, 2**18])
+def test_solve_compare_holds_at_large_n(n, tmp_path, capsys):
+    # pg:spline and fv share one route, so this pins that route against
+    # rounding growth: eliminating u first, through the n^2-conditioned cell
+    # system, missed 1e-10 here (7.3e-10 in u at 2^16)
+    argv = ["solve", "--scheme", "pg", "--psi", "spline", "--n", str(n), "--compare"]
+    assert run(argv + ["-o", str(tmp_path / "s.csv")]) == 0
+    capsys.readouterr()
+
+
 def test_solve_outdir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     assert run(["solve", "--n", "4"]) == 0
@@ -164,6 +190,16 @@ def test_converge_assert_rate_failure(tmp_path, capsys):
                 "-o", str(tmp_path / "c.csv")])
     assert code == 2
     assert "assert-rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "regular"])
+def test_fv_assert_rate_holds_at_large_n(mesh, tmp_path, capsys):
+    # slopes u 1.000, p_l2 2.015 (uniform) / 1.993 (regular), p_h1 1.000;
+    # eliminating u first gave p_l2 -2.385 on uniform meshes, rounding-bound
+    argv = ["converge", "--scheme", "fv", "--mesh", mesh, "--n-seq", "65536,262144,1048576",
+            "--assert-rate", "-o", str(tmp_path / "c.csv")]
+    assert run(argv) == 0
+    capsys.readouterr()
 
 
 def test_converge_machine_level_exemption(tmp_path, capsys):

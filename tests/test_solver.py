@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fvpg1d import (DiscreteSolution, MomentTable, RegularFamilySpec,
-                    SaddleSystem, SolverError, TriDiagonal, assemble_div,
+                    SaddleSystem, SolverError, TriDiagonal, assemble_div, assemble_fv,
                     assemble_mass_classical, build_random_regular,
                     build_uniform, builtin_affine, builtin_spline, moments,
                     perturbed_family, project_rhs, quadratic_problem,
@@ -182,24 +182,58 @@ def test_non_finite_input_raises_solver_error(scheme, bad):
             solve_mixed(dataclasses.replace(system, mass=mass))
 
 
-@pytest.mark.parametrize("build", [
-    lambda mesh, f: saddle_classical(mesh, f),
-    lambda mesh, f: saddle_pg(mesh, moments(builtin_affine()), f),
-], ids=["classical", "pg:affine"])
-def test_mixed_memory_is_linear(build):
-    # no dense block: assembly plus solve stay within 1 KiB per cell
+@pytest.mark.parametrize("scheme", ["classical", "pg:affine", "fv"])
+def test_mixed_memory_is_linear(scheme):
+    # no dense block: assembly plus solve stay within 1 KiB per cell; fv solves
+    # the pg:spline block system, whose mass block is diag(dual widths)
     n = 2**18
     mesh = random_mesh(n, 18)
     f = sin_problem().f
+    psi = builtin_affine() if scheme == "pg:affine" else builtin_spline()
+    build = saddle_classical if scheme == "classical" else (
+        lambda mesh, f: saddle_pg(mesh, moments(psi), f))
     tracemalloc.start()
     try:
-        system = build(mesh, f)
-        sol = solve_mixed(system)
+        sol = solve_fv(mesh, f) if scheme == "fv" else solve_mixed(build(mesh, f))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 1024 * n
+    system = build(mesh, f)
     assert residual(system, sol) <= RESIDUAL_RTOL * max(1.0, np.abs(system.rhs_cells).max())
+
+
+def test_fv_solves_cell_system_at_large_n():
+    # fv no longer factors assemble_fv's A; its u still solves A u = b to a
+    # backward error of rounding size (measured <= 8.9e-15 over 10 seeds)
+    for seed in range(3):
+        mesh = random_mesh(2**16, seed)
+        f = sin_problem().f
+        u = solve_fv(mesh, f).u_cells
+        A, b = assemble_fv(mesh, f)
+        scale = TriDiagonal(lower=np.abs(A.lower), diag=A.diag, upper=np.abs(A.upper))
+        assert np.abs(A.matvec(u) - b).max() <= 1e-13 * scale.matvec(np.abs(u)).max()
+
+
+@settings(max_examples=40)
+@given(n=st.integers(min_value=1, max_value=60), seed=st.integers(0, 2**16),
+       m1=st.floats(-1.0, 1.0), m0=st.floats(-1.0, 1.0))
+def test_property_mixed_gradient_matches_fv(n, seed, m1, m0):
+    # every mass row sums to 2 m_psi times the dual width, so every table the
+    # Schur gate accepts gives the fv gradient; |m_psi| >= 0.05 bounds the
+    # rounding of those row sums
+    assume(abs(m1 + m0) >= 0.05)
+    mesh = random_mesh(n, seed)
+    f = sin_problem().f
+    table = MomentTable(m_psi=m1 + m0, m1=m1, m0=m0, s=1.0, c=0.0, sd=1.0, cd=0.0)
+    system = saddle_pg(mesh, table, f)
+    try:
+        sol = solve_mixed(system)
+    except SolverError:
+        assume(False)
+    fv = solve_fv(mesh, f)
+    assert np.abs(sol.p_nodes - fv.p_nodes).max() <= 1e-13 * np.abs(fv.p_nodes).max()
+    assert residual(system, sol) <= 1e-13 * max(1.0, np.abs(system.rhs_cells).max())
 
 
 def test_solution_shape_validation():
