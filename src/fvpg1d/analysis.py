@@ -12,8 +12,8 @@ singular value is the discrete inf-sup constant: bounded away from zero for
 stable weighting functions, and decaying at first order when the reflection
 identity fails; the measured law is delta_T ~ 1/(n sqrt(2 epsilon)), with
 epsilon the reflection defect of ``stability_constants``.  All of it is O(n):
-the flux-balance kernel of the solver, a banded Cholesky of each Gram matrix
-and a short Lanczos run, no (2n + 1)^2 matrix.
+the flux-balance kernel of the solver, a closed-form check that each Gram
+matrix is positive definite and a short Lanczos run, no (2n + 1)^2 matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import (SourceFunction, TriDiagonal, assemble_div, assemble_mass_pg,
                        cell_gauss_rule, saddle_classical, saddle_pg)
@@ -57,6 +56,7 @@ __all__ = [
 DEFAULT_QUAD_ORDER = 8
 INFSUP_RTOL = 1e-10   # Lanczos stop: Ritz residual relative to the Ritz value
 INFSUP_MAXITER = 60   # 6-13 steps suffice in the tested cases, whatever n is
+DEGENERATE_GRAM = "degenerate weighting function: its Gram matrix is not positive definite"
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +183,18 @@ def error_norms(solution: DiscreteSolution, problem: ManufacturedProblem,
     h = mesh.cell_widths
     x, w, at_points = cell_gauss_rule(mesh, quad_order)
 
-    du = at_points(problem.u_exact) - solution.u_cells[:, None]
-    err_u_sq = float(np.sum((du * du @ w) * h))
+    # each difference is a fresh array, squared in place: the same arithmetic
+    # with fewer (n, quad_order) temporaries alive at once
+    def sq_norm(diff):
+        return float(np.sum((np.square(diff, out=diff) @ w) * h))
 
-    p_lin = (solution.p_nodes[:-1, None] * (1.0 - x)[None, :]
-             + solution.p_nodes[1:, None] * x[None, :])
-    dp = at_points(problem.p_exact) - p_lin
-    err_p_sq = float(np.sum((dp * dp @ w) * h))
-
-    slopes = np.diff(solution.p_nodes) / h
-    ddiv = -at_points(problem.f.f) - slopes[:, None]
-    err_div_sq = float(np.sum((ddiv * ddiv @ w) * h))
+    err_u_sq = sq_norm(at_points(problem.u_exact) - solution.u_cells[:, None])
+    p_lin = solution.p_nodes[:-1, None] * (1.0 - x)[None, :]
+    p_lin += solution.p_nodes[1:, None] * x[None, :]
+    err_p_sq = sq_norm(np.subtract(at_points(problem.p_exact), p_lin, out=p_lin))
+    ddiv = np.negative(at_points(problem.f.f))
+    ddiv -= (np.diff(solution.p_nodes) / h)[:, None]
+    err_div_sq = sq_norm(ddiv)
 
     return ErrorReport(
         err_u_l2=float(np.sqrt(err_u_sq)),
@@ -280,16 +281,23 @@ class InfSupReport:
     mesh_id: str = ""
 
 
-def _nodal_gram(mesh: Mesh, m: MomentTable):
+def _nodal_gram(mesh: Mesh, m: MomentTable) -> TriDiagonal:
     """Graph-norm Gram matrix of the psi nodal functions (the hat functions
-    for the affine table) and its banded Cholesky factor."""
+    for the affine table).
+
+    Each element matrix [[cell, off], [off, cell]] is
+    a (e_l + e_r)(e_l + e_r)^t + b (e_l - e_r)(e_l - e_r)^t with
+    a, b = (cell +- off)/2 >= 0 by Cauchy-Schwarz, so the sum is positive
+    definite exactly when min(a, b) = (cell - |off|)/2 > 0 on every cell.
+    Against rounding, min(a, b) must exceed 1e-14 (|s| h + |c| h + |sd|/h + |cd|/h):
+    degenerate psi leave at most 2e-16 of it, psi = 1 - 2t + 1e-6 t^2 leaves 4e-14.
+    """
     h = mesh.cell_widths
     cell, off = m.s * h + m.sd / h, m.c * h - m.cd / h
-    T = TriDiagonal(lower=off, diag=np.append(cell, 0.0) + np.append(0.0, cell), upper=off)
-    factor, info = scipy.linalg.lapack.dpbtrf(np.vstack((np.append(0.0, off), T.diag)))
-    if info != 0:
-        raise ValueError("degenerate weighting function: its Gram matrix is not positive definite")
-    return T, factor
+    tol = 2e-14 * ((abs(m.s) + abs(m.c)) * h + (abs(m.sd) + abs(m.cd)) / h)
+    if not np.all(cell - np.abs(off) > tol):
+        raise ValueError(DEGENERATE_GRAM)
+    return TriDiagonal(lower=off, diag=np.append(cell, 0.0) + np.append(0.0, cell), upper=off)
 
 
 def _largest_eigenvalue(apply_op: Callable, gram: Callable, start: np.ndarray) -> float:
@@ -308,9 +316,9 @@ def _largest_eigenvalue(apply_op: Callable, gram: Callable, start: np.ndarray) -
                 w -= (gb @ w) * b
         gw = gram(w)
         norm = np.sqrt(max(w @ gw, 0.0))
-        theta, s = scipy.linalg.eigh_tridiagonal(alpha, beta, select="i", select_range=(k, k))
-        if norm * abs(s[-1, 0]) <= INFSUP_RTOL * theta[0] or k + 1 == start.size:
-            return float(theta[0])
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        if norm * abs(s[-1, -1]) <= INFSUP_RTOL * theta[-1] or k + 1 == start.size:
+            return float(theta[-1])
         beta.append(norm)
     raise SolverError(f"inf-sup eigensolver did not converge in {INFSUP_MAXITER} steps")
 
@@ -324,8 +332,8 @@ def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
     Interleaved, G is the symmetric pg saddle matrix: ``flux_balance`` applies
     G^{-1} = G^{-t}, and 1^t M 1 = 0 makes G singular and delta_T = 0.
     """
-    T2, _ = _nodal_gram(mesh, m)
-    T1, _ = _nodal_gram(mesh, moments(builtin_affine()))
+    T2 = _nodal_gram(mesh, m)
+    T1 = _nodal_gram(mesh, moments(builtin_affine()))
     M = assemble_mass_pg(mesh, m)
     r = M.row_sums()
 
@@ -352,10 +360,15 @@ def infsup_witness_sup(mesh: Mesh, m: MomentTable) -> float:
     which unstable weighting functions lose the inf-sup bound as n grows.  Its
     response r = G xi is B^t 1 on the nodes and 0 on the cells.
     """
-    _, factor = _nodal_gram(mesh, m)
+    from scipy.linalg.lapack import dpbtrf, dpbtrs  # loaded on first use, not at import
+
+    T = _nodal_gram(mesh, m)
+    factor, info = dpbtrf(np.vstack((np.append(0.0, T.upper), T.diag)))
+    if info != 0:
+        raise ValueError(DEGENERATE_GRAM)
     D = assemble_div(mesh)
     r = np.append(D[0], 0.0) + np.append(0.0, D[1])
-    return float(np.sqrt(r @ scipy.linalg.lapack.dpbtrs(factor, r)[0]))
+    return float(np.sqrt(r @ dpbtrs(factor, r)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def _write_sidecar(csv_path, command, config):
 
 def cmd_psi_check(args) -> int:
     psi = parse_psi(args.psi)
-    report = condition_report(psi, order=args.quad_order)
-    m = moments(psi, order=args.quad_order)
+    m = moments(psi)
+    report = condition_report(psi, m=m)
     constants = stability_constants(m)
 
     print(f"weighting function: {psi.label}")
@@ -158,12 +158,11 @@ def cmd_solve(args) -> int:
     psi = parse_psi(args.psi)
     solution = run_scheme(mesh, problem, args.scheme, psi, args.quad_order)
 
-    lines = ["x_left,x_right,u_cell"]
-    for a, b, u in zip(mesh.vertices[:-1], mesh.vertices[1:], solution.u_cells):
-        lines.append(f"{fmt(a)},{fmt(b)},{fmt(u)}")
-    lines.append("x_node,p_node")
-    for x, p in zip(mesh.vertices, solution.p_nodes):
-        lines.append(f"{fmt(x)},{fmt(p)}")
+    xs = list(map(fmt, mesh.vertices.tolist()))  # formatted once, printed three times
+    lines = ["x_left,x_right,u_cell",
+             *map(",".join, zip(xs[:-1], xs[1:], map(fmt, solution.u_cells.tolist()))),
+             "x_node,p_node",
+             *map(",".join, zip(xs, map(fmt, solution.p_nodes.tolist())))]
 
     out = _resolve_output(args.output, "solve.csv")
     _write_text(out, "\n".join(lines) + "\n")
@@ -311,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("psi-check", help="check weighting-function conditions")
     p.add_argument("--psi", default="spline",
                    help="affine | spline | perturbed:<c> | poly:<c0,c1,...> (default spline)")
-    p.add_argument("--quad-order", type=int, default=16,
-                   help="quadrature order for callable weighting functions (default 16)")
     p.add_argument("--require", default=["all"], type=lambda s: s.split(","),
                    help="comma list of conditions required for exit 0 "
                         "(localization,orthogonality,fv_compat,interp_compat; default all)")
@@ -370,6 +367,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:
+        print("error: out of memory; try fewer cells", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import SaddleSystem, project_rhs
 from .mesh import Mesh
@@ -83,9 +82,10 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
     M, f_cells = system.mass, system.rhs_cells
     _require_finite("mass block", M.lower, M.diag, M.upper)
     _require_finite("cell load vector", f_cells)
+    from scipy.linalg import eigvalsh_tridiagonal  # loaded only by the mixed schemes
+
     tol = 1e-12 * (np.abs(M.diag).max() + 2.0 * np.abs(M.upper).max())
-    low = scipy.linalg.eigvalsh_tridiagonal(M.diag, M.upper, select="v",
-                                            select_range=(-np.inf, tol))
+    low = eigvalsh_tridiagonal(M.diag, M.upper, select="v", select_range=(-np.inf, tol))
     if np.any(np.abs(low) <= tol):
         raise SolverError("mass block is singular")
     r = M.row_sums()

@@ -197,19 +197,22 @@ def moments(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER) -> MomentTa
     order for every integral.
     """
     if psi.kind == "polynomial":
-        c = np.asarray(psi.coefficients, dtype=float)
-        cr = _poly_reflect(c)
-        d = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-        dr = _poly_reflect(d)
-        return MomentTable(
-            m_psi=_poly_integral_01(c),
-            m1=_poly_integral_01(npoly.polymul([0.0, 1.0], c)),
-            m0=_poly_integral_01(npoly.polymul([1.0, -1.0], c)),
-            s=_poly_integral_01(npoly.polymul(c, c)),
-            c=_poly_integral_01(npoly.polymul(c, cr)),
-            sd=_poly_integral_01(npoly.polymul(d, d)),
-            cd=_poly_integral_01(npoly.polymul(d, dr)),
-        )
+        # finite coefficients can still overflow; MomentTable rejects the
+        # result with one message, so numpy need not warn on the way there
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.asarray(psi.coefficients, dtype=float)
+            cr = _poly_reflect(c)
+            d = npoly.polyder(c) if c.size > 1 else np.zeros(1)
+            dr = _poly_reflect(d)
+            return MomentTable(
+                m_psi=_poly_integral_01(c),
+                m1=_poly_integral_01(npoly.polymul([0.0, 1.0], c)),
+                m0=_poly_integral_01(npoly.polymul([1.0, -1.0], c)),
+                s=_poly_integral_01(npoly.polymul(c, c)),
+                c=_poly_integral_01(npoly.polymul(c, cr)),
+                sd=_poly_integral_01(npoly.polymul(d, d)),
+                cd=_poly_integral_01(npoly.polymul(d, dr)),
+            )
     x, w = gauss_legendre(order)
     v = np.asarray(psi(x), dtype=float)
     vr = np.asarray(psi(1.0 - x), dtype=float)
@@ -246,12 +249,20 @@ def check_localization(psi: WeightingFunction) -> bool:
 
 def check_orthogonality(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER) -> bool:
     """The (1 - theta) moment vanishes: the cross mass matrix is diagonal."""
-    return bool(abs(moments(psi, order).m0) <= MOMENT_TOL)
+    return _orthogonal(moments(psi, order))
 
 
 def check_fv_compat(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER) -> bool:
     """The theta moment equals one half: the diagonal is the dual widths."""
-    return bool(abs(moments(psi, order).m1 - 0.5) <= MOMENT_TOL)
+    return _fv_compatible(moments(psi, order))
+
+
+def _orthogonal(m: MomentTable) -> bool:
+    return bool(abs(m.m0) <= MOMENT_TOL)
+
+
+def _fv_compatible(m: MomentTable) -> bool:
+    return bool(abs(m.m1 - 0.5) <= MOMENT_TOL)
 
 
 def check_interp_compat(psi: WeightingFunction, sample_count: int = 33) -> bool:
@@ -292,11 +303,13 @@ class ConditionReport:
 
 
 def condition_report(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER,
-                     sample_count: int = 33) -> ConditionReport:
+                     sample_count: int = 33, m: Optional[MomentTable] = None) -> ConditionReport:
+    """The four conditions; ``m``, when given, is ``moments(psi, order)``."""
+    m = moments(psi, order) if m is None else m
     return ConditionReport(
         localization=check_localization(psi),
-        orthogonality=check_orthogonality(psi, order),
-        fv_compat=check_fv_compat(psi, order),
+        orthogonality=_orthogonal(m),
+        fv_compat=_fv_compatible(m),
         interp_compat=check_interp_compat(psi, sample_count),
     )
 

@@ -11,8 +11,11 @@ Nothing in here imports from the package under test.  Five tools:
 * the dense inf-sup estimator: Gram and coupling matrices built from the
   moment table, whitened by Cholesky factors, smallest singular value, and
   the witness supremum from the same matrices;
-* a dense test of whether the Schur complement of a mixed system is
-  positive definite, and a dense copy of a tridiagonal band container.
+* dense tests of whether the Schur complement of a mixed system and the
+  nodal graph-norm Gram matrix are positive definite, and a dense copy of a
+  tridiagonal band container;
+* the three squared error integrals written as one expression each, with
+  every (n, order) temporary alive, as the package first computed them.
 """
 
 from fractions import Fraction
@@ -257,3 +260,40 @@ def schur_is_pd(M_dense):
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def gram_is_pd(vertices, m, rtol=1e-12):
+    """Whether the nodal graph-norm Gram matrix of the moment table ``m`` is
+    positive definite, from a dense Cholesky factorization.
+
+    The matrix sums h (s, c; c, s) + (1/h) (sd, -cd; -cd, sd) over the cells.
+    Rounding can let a singular matrix factor with a last pivot near eps, so
+    a squared pivot below ``rtol`` times the largest entry counts as zero.
+    """
+    h = np.diff(np.asarray(vertices, dtype=float))
+    cell, off = m.s * h + m.sd / h, m.c * h - m.cd / h
+    T = (np.diag(np.append(cell, 0.0) + np.append(0.0, cell))
+         + np.diag(off, k=1) + np.diag(off, k=-1))
+    try:
+        L = np.linalg.cholesky(T)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.min(np.diag(L)) ** 2 > rtol * np.abs(T).max())
+
+
+def squared_errors(vertices, u_cells, p_nodes, u_exact, p_exact, f, order):
+    """Squared L2 errors of u and p and of the divergence -f - p', by per-cell
+    Gauss-Legendre quadrature; the package must reproduce them bit for bit."""
+    v = np.asarray(vertices, dtype=float)
+    h = np.diff(v)
+    x, w = _gauss01(order)
+    pts = v[:-1, None] + h[:, None] * x[None, :]
+
+    def at(fn):
+        return np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
+
+    du = at(u_exact) - u_cells[:, None]
+    p_lin = p_nodes[:-1, None] * (1.0 - x)[None, :] + p_nodes[1:, None] * x[None, :]
+    dp = at(p_exact) - p_lin
+    ddiv = -at(f) - (np.diff(p_nodes) / h)[:, None]
+    return tuple(float(np.sum((d * d @ w) * h)) for d in (du, dp, ddiv))

@@ -18,7 +18,7 @@ from fvpg1d import (ConvergenceTable, ErrorReport, ManufacturedProblem, MomentTa
                     quadratic_problem, run_scheme, sin_problem,
                     stability_constants, solve_fv, zero_problem)
 
-from oracles import dense_infsup, dense_witness_sup, simpson
+from oracles import dense_infsup, dense_witness_sup, gram_is_pd, simpson, squared_errors
 
 
 def random_mesh(n, seed):
@@ -131,6 +131,23 @@ def test_error_norms_u_error_against_simpson():
 # ---------------------------------------------------------------------------
 # convergence tables and rate fitting
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["sin", "quadratic"])
+def test_error_norms_match_unfused_reference_exactly(name):
+    # the in-place squaring keeps the arithmetic: equal bits, not a tolerance
+    problem = get_problem(name)
+    for n in (1, 2, 7, 2048):
+        for mesh in (build_uniform(n), random_mesh(n, n)):
+            for scheme, order in (("fv", 8), ("classical", 3), ("classical", 16)):
+                sol = run_scheme(mesh, problem, scheme, quad_order=order)
+                u_sq, p_sq, div_sq = squared_errors(mesh.vertices, sol.u_cells, sol.p_nodes,
+                                                    problem.u_exact, problem.p_exact,
+                                                    problem.f.f, order)
+                report = error_norms(sol, problem, order)
+                assert report.err_u_l2 == np.sqrt(u_sq)
+                assert report.err_p_l2 == np.sqrt(p_sq)
+                assert report.err_p_h1 == np.sqrt(p_sq + div_sq)
+
 
 def test_loglog_slope_recovers_powers():
     h = np.array([0.1, 0.05, 0.025, 0.0125])
@@ -357,17 +374,67 @@ def test_infsup_perturbed_law_at_large_n():
     assert abs(delta * n * np.sqrt(2.0 * eps) - 1.0) <= 1e-5
 
 
-def test_infsup_leaves_scipy_sparse_unimported():
-    # structural guard on import cost: the estimator needs only scipy.linalg
+def test_infsup_leaves_scipy_sparse_unimported(tmp_path):
+    # structural guard on start-up cost, no timing: the CLI, psi-check, an fv
+    # solve and the estimator need neither scipy.linalg nor scipy.sparse;
+    # the two callers that load scipy.linalg themselves still work afterwards
     code = ("import sys, fvpg1d, fvpg1d.cli\n"
-            "fvpg1d.infsup_constant(fvpg1d.build_uniform(8),"
-            " fvpg1d.moments(fvpg1d.builtin_spline()))\n"
-            "assert 'scipy.sparse' not in sys.modules\n")
+            "assert fvpg1d.cli.main(['psi-check']) == 0\n"
+            "assert fvpg1d.cli.main(['solve', '--scheme', 'fv', '--n', '64', '-o', 'fv.csv']) == 0\n"
+            "mesh, m = fvpg1d.build_uniform(8), fvpg1d.moments(fvpg1d.builtin_spline())\n"
+            "fvpg1d.infsup_constant(mesh, m)\n"
+            "loaded = [name for name in ('scipy.linalg', 'scipy.sparse') if name in sys.modules]\n"
+            "assert not loaded, loaded\n"
+            "fvpg1d.solve_mixed(fvpg1d.saddle_pg(mesh, m, fvpg1d.sin_problem().f))\n"
+            "assert fvpg1d.infsup_witness_sup(mesh, m) > 0.0\n")
     path = [str(Path(fvpg1d.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120)
+                            text=True, timeout=120, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+# psi = 0, 1, 1 - 2t, 2t - 1 and 0.9 (1 - 2t) + (1 - 2t)^3 give a singular
+# Gram matrix (the last one a rounding-level positive a, not 0); the eta
+# families are definite with a margin far above rounding
+GRAM_PSI = {"0": [0.0], "1": [1.0], "1-2t": [1.0, -2.0], "2t-1": [-1.0, 2.0],
+            "0.9(1-2t)+(1-2t)^3": [1.9, -7.8, 12.0, -8.0],
+            "affine": [0.0, 1.0], "spline": [0.0, -9.0, 30.0, -20.0], "t^2": [0.0, 0.0, 1.0],
+            "poly:0,1.7,-2.1,1.4": [0.0, 1.7, -2.1, 1.4],
+            "perturbed:1": list(perturbed_family(1.0).coefficients)}
+for _eta in (1e-2, 1e-4):
+    GRAM_PSI[f"1+{_eta:g}t"] = [1.0, _eta]
+    GRAM_PSI[f"1-2t+{_eta:g}t^2"] = [1.0, -2.0, _eta]
+    GRAM_PSI[f"{_eta:g}"] = [_eta]
+# tables built directly: one zero mode in the mass part, one in the stiffness
+# part, and each with a small definite margin
+GRAM_TABLES = [(1.0, 1.0, 0.0, 0.0), (1.0, -1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0),
+               (0.0, 0.0, 1.0, -1.0), (1.0, 1.0 - 1e-6, 0.0, 0.0), (0.0, 0.0, 1.0, 1.0 - 1e-6),
+               (1.0, 1.0, 1.0, -1.0), (1.0, 0.0, 1.0, 0.0)]
+
+
+def test_gram_definiteness_matches_dense_cholesky():
+    tables = [moments(fvpg1d.WeightingFunction.from_coefficients(c)) for c in GRAM_PSI.values()]
+    tables += [MomentTable(m_psi=0.0, m1=0.0, m0=0.0, s=s, c=c, sd=sd, cd=cd)
+               for s, c, sd, cd in GRAM_TABLES]
+    verdicts = set()
+    for m in tables:
+        for n in (1, 2, 3, 8, 64, 257):
+            for mesh in (build_uniform(n), build_random_regular(RegularFamilySpec(0.1, 5.0, n, n))):
+                try:
+                    fvpg1d.analysis._nodal_gram(mesh, m)
+                    closed_form = True
+                except ValueError as exc:
+                    assert str(exc) == fvpg1d.analysis.DEGENERATE_GRAM
+                    closed_form = False
+                assert closed_form == gram_is_pd(mesh.vertices, m), (m, n)
+                verdicts.add(closed_form)
+    assert verdicts == {True, False}
+    # definite, but too close to singular for the dense pivots to tell: its
+    # min(a, b) is 4e-14 of the terms forming it, 200 times the rounding
+    near = moments(fvpg1d.WeightingFunction.from_coefficients([1.0, -2.0, 1e-6]))
+    for n in (1, 64, 4096):
+        fvpg1d.analysis._nodal_gram(build_uniform(n), near)
 
 
 # ---------------------------------------------------------------------------

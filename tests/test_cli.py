@@ -63,12 +63,24 @@ def test_psi_check_exit_codes(tmp_path, capsys):
                 "--require", "localization,orthogonality,fv_compat"]) == 0
     assert run(["psi-check", "--psi", "nope:1"]) == 1
     assert run(["psi-check", "--require", "frobnicate"]) == 1
+    assert run(["psi-check", "--quad-order", "16"]) == 1  # gone: every --psi is a polynomial
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("spec", ["poly:nan", "poly:inf,1", "perturbed:nan"])
+def test_out_of_memory_is_one_line_error(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_solve", exhausted)
+    assert run(["solve"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("spec", ["poly:nan", "poly:inf,1", "perturbed:nan",
+                                  "poly:1e308,1e308,1e308", "poly:0,1e308"])
 def test_non_finite_psi_is_one_line_error_in_a_fresh_process(spec):
-    # a real process, so a numpy RuntimeWarning would show on stderr too
+    # a real process, so a numpy RuntimeWarning would show on stderr too; the
+    # last two are finite coefficients whose moments overflow
     path = [str(Path(fvpg1d.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     result = subprocess.run([sys.executable, "-m", "fvpg1d.cli", "psi-check", "--psi", spec],
