@@ -21,8 +21,7 @@ from fvpg1d import (builtin_affine, builtin_spline, condition_report,
 
 def describe(psi):
     print(f"psi = {psi.label}")
-    if psi.kind == "polynomial":
-        print(f"  coefficients (low to high): {list(psi.coefficients)}")
+    print(f"  coefficients (low to high): {list(psi.coefficients)}")
     report = condition_report(psi)
     for name, value in report.as_dict().items():
         print(f"  {name:<14s} {'yes' if value else 'no'}")

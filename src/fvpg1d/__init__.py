@@ -15,11 +15,10 @@ from .weighting import (ConditionReport, MomentTable, StabilityConstants,
                         WeightingFunction, builtin_affine, builtin_spline,
                         check_fv_compat, check_interp_compat, check_localization,
                         check_orthogonality, condition_report, design_cubic,
-                        gauss_legendre, moments, perturbed_family,
-                        stability_constants)
+                        moments, perturbed_family, stability_constants)
 from .assembly import (SaddleSystem, SourceFunction, TriDiagonal, assemble_div,
                        assemble_fv, assemble_mass_classical, assemble_mass_pg,
-                       project_rhs, saddle_classical, saddle_pg)
+                       gauss_legendre, project_rhs, saddle_classical, saddle_pg)
 from .solver import DiscreteSolution, SolverError, residual, solve_fv, solve_mixed
 from .analysis import (ConvergenceTable, ErrorReport, InfSupReport,
                        ManufacturedProblem, convergence_study, discrete_norm_q,

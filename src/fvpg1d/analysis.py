@@ -23,8 +23,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (SourceFunction, TriDiagonal, assemble_div, assemble_mass_pg,
-                       cell_gauss_rule, saddle_classical, saddle_pg)
+from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, TriDiagonal, assemble_div,
+                       assemble_mass_pg, cell_gauss_rule, saddle_classical, saddle_pg)
 from .mesh import Mesh, RegularFamilySpec, build_random_regular, build_uniform
 from .solver import DiscreteSolution, SolverError, flux_balance, solve_fv, solve_mixed
 from .weighting import MomentTable, WeightingFunction, builtin_affine, moments
@@ -53,7 +53,6 @@ __all__ = [
     "infsup_sweep",
 ]
 
-DEFAULT_QUAD_ORDER = 8
 INFSUP_RTOL = 1e-10   # Lanczos stop: Ritz residual relative to the Ritz value
 INFSUP_MAXITER = 60   # 6-13 steps suffice in the tested cases, whatever n is
 DEGENERATE_GRAM = "degenerate weighting function: its Gram matrix is not positive definite"
@@ -75,7 +74,6 @@ class ManufacturedProblem:
     u_exact: Callable
     p_exact: Callable
     f: SourceFunction
-    regularity: str = "H1"
 
     def __post_init__(self):
         for x in (0.0, 1.0):
@@ -94,7 +92,6 @@ def sin_problem() -> ManufacturedProblem:
             f=lambda x: pi**2 * np.sin(pi * np.asarray(x, dtype=float)),
             antiderivative=lambda x: -pi * np.cos(pi * np.asarray(x, dtype=float)),
         ),
-        regularity="smooth",
     )
 
 
@@ -108,7 +105,6 @@ def quadratic_problem() -> ManufacturedProblem:
             f=lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
             antiderivative=lambda x: 2.0 * np.asarray(x, dtype=float),
         ),
-        regularity="smooth",
     )
 
 
@@ -122,7 +118,6 @@ def zero_problem() -> ManufacturedProblem:
             f=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             antiderivative=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         ),
-        regularity="smooth",
     )
 
 

@@ -15,10 +15,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .mesh import Mesh
-from .weighting import MomentTable, gauss_legendre
+from .weighting import MomentTable
 
 __all__ = [
     "TriDiagonal",
+    "gauss_legendre",
     "cell_gauss_rule",
     "SourceFunction",
     "SaddleSystem",
@@ -31,7 +32,8 @@ __all__ = [
     "saddle_pg",
 ]
 
-DEFAULT_RHS_QUAD_ORDER = 8
+DEFAULT_QUAD_ORDER = 8  # Gauss points per cell for loads, cell averages and error norms
+MAX_QUAD_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,18 @@ class TriDiagonal:
         return y
 
 
+def gauss_legendre(order: int):
+    """Gauss-Legendre rule mapped to [0, 1].
+
+    Returns (nodes, weights); the weights are positive and sum to one, and the
+    rule integrates polynomials up to degree 2*order - 1 exactly.
+    """
+    if not 1 <= order <= MAX_QUAD_ORDER:
+        raise ValueError(f"quadrature order must be in [1, {MAX_QUAD_ORDER}]")
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def cell_gauss_rule(mesh: Mesh, quad_order: int):
     """Reference Gauss nodes x and weights w on [0, 1], and a function that
     evaluates a callable at the points vertices[j] + h_j * x of every cell j,
@@ -98,7 +112,7 @@ class SourceFunction:
     f: Callable
     antiderivative: Optional[Callable] = None
 
-    def cell_integrals(self, mesh: Mesh, quad_order: int = DEFAULT_RHS_QUAD_ORDER) -> np.ndarray:
+    def cell_integrals(self, mesh: Mesh, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
         if self.antiderivative is not None:
             return np.diff(np.asarray(self.antiderivative(mesh.vertices), dtype=float))
         _, w, at_points = cell_gauss_rule(mesh, quad_order)
@@ -143,13 +157,13 @@ def assemble_div(mesh: Mesh) -> np.ndarray:
 
 
 def project_rhs(mesh: Mesh, f: Union[SourceFunction, Callable],
-                quad_order: int = DEFAULT_RHS_QUAD_ORDER) -> np.ndarray:
+                quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
     """Cell integrals of the source term."""
     return _as_source(f).cell_integrals(mesh, quad_order)
 
 
 def assemble_fv(mesh: Mesh, f: Union[SourceFunction, Callable],
-                quad_order: int = DEFAULT_RHS_QUAD_ORDER):
+                quad_order: int = DEFAULT_QUAD_ORDER):
     """Cell system of the heuristic finite-volume scheme.
 
     Eliminating the dual-width gradient leaves the symmetric positive definite
@@ -199,7 +213,7 @@ class SaddleSystem:
 
 
 def saddle_classical(mesh: Mesh, f: Union[SourceFunction, Callable],
-                     quad_order: int = DEFAULT_RHS_QUAD_ORDER) -> SaddleSystem:
+                     quad_order: int = DEFAULT_QUAD_ORDER) -> SaddleSystem:
     """Classical mixed scheme: hat test functions for the gradient equation."""
     return SaddleSystem(
         mass=assemble_mass_classical(mesh),
@@ -211,7 +225,7 @@ def saddle_classical(mesh: Mesh, f: Union[SourceFunction, Callable],
 
 
 def saddle_pg(mesh: Mesh, m: MomentTable, f: Union[SourceFunction, Callable],
-              quad_order: int = DEFAULT_RHS_QUAD_ORDER, label: str = "pg") -> SaddleSystem:
+              quad_order: int = DEFAULT_QUAD_ORDER, label: str = "pg") -> SaddleSystem:
     """Petrov-Galerkin scheme: psi-generated test functions, summarized by
     the moment table."""
     return SaddleSystem(

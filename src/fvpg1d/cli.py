@@ -27,6 +27,7 @@ from . import __version__
 from .analysis import (ConvergenceTable, PROBLEM_NAMES, convergence_study,
                        error_norms, fit_rate, get_problem, infsup_sweep,
                        loglog_slope, run_scheme)
+from .assembly import DEFAULT_QUAD_ORDER
 from .mesh import RegularFamilySpec, build_random_regular, build_uniform
 from .solver import SolverError, solve_fv
 from .weighting import (WeightingFunction, builtin_affine, builtin_spline,
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", default="spline", help="weighting function for --scheme pg")
     p.add_argument("--n", type=int, default=16, help="number of cells (default 16)")
     _add_mesh_options(p)
-    p.add_argument("--quad-order", type=int, default=8)
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p.add_argument("--compare", action="store_true",
                    help="also solve with the fv scheme and require agreement to 1e-10")
     p.add_argument("-o", "--output", help=f"CSV path (default solve.csv under ${OUTDIR_ENV} or .)")
@@ -335,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-seq", default="8,16,32,64,128",
                    help="comma list of cell counts (default 8,16,32,64,128)")
     _add_mesh_options(p)
-    p.add_argument("--quad-order", type=int, default=8)
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER)
     p.add_argument("--assert-rate", type=float, nargs="?", const=0.9, default=None,
                    help="exit 2 unless every error column converges at this rate "
                         "(default floor 0.9 when the flag is given)")

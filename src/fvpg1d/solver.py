@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import SaddleSystem, project_rhs
+from .assembly import DEFAULT_QUAD_ORDER, SaddleSystem, project_rhs
 from .mesh import Mesh
 
 __all__ = ["SolverError", "DiscreteSolution", "flux_balance", "solve_fv", "solve_mixed", "residual"]
@@ -57,7 +57,7 @@ def flux_balance(apply_mass: Callable, row_sums: np.ndarray, f: np.ndarray, g=No
     return p, np.cumsum(flux, out=flux)[:-1]
 
 
-def solve_fv(mesh: Mesh, f, quad_order: int = 8) -> DiscreteSolution:
+def solve_fv(mesh: Mesh, f, quad_order: int = DEFAULT_QUAD_ORDER) -> DiscreteSolution:
     """Solve the heuristic finite-volume scheme.
 
     It is the saddle system with M = diag(dual widths): the gradient p_j is

@@ -22,15 +22,16 @@ Four pointwise/integral conditions classify a weighting function:
 * interp_compat: psi(theta) + psi(1 - theta) = 1 identically, the reflection
   identity under which nodal interpolation sums to one inside each cell.
 
-Polynomial weighting functions are integrated exactly via coefficient
-algebra; callable ones fall back to Gauss-Legendre quadrature.
+A weighting function is a polynomial and nothing else: every psi the paper
+studies is one, so each moment and each condition is exact coefficient
+algebra, with no quadrature rule anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Callable, Optional
+from dataclasses import asdict, astuple, dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -40,7 +41,6 @@ __all__ = [
     "MomentTable",
     "StabilityConstants",
     "ConditionReport",
-    "gauss_legendre",
     "moments",
     "stability_constants",
     "check_localization",
@@ -56,22 +56,7 @@ __all__ = [
 
 POINT_TOL = 1e-12  # pointwise conditions (localization, reflection identity)
 MOMENT_TOL = 1e-12  # integral conditions (orthogonality, fv compatibility)
-DEFAULT_QUAD_ORDER = 16
-_FD_STEP = 1e-6
-MAX_QUAD_ORDER = 32
 NON_FINITE_MOMENTS = "weighting-function moments contain NaN or inf"
-
-
-def gauss_legendre(order: int):
-    """Gauss-Legendre rule mapped to [0, 1].
-
-    Returns (nodes, weights); the weights are positive and sum to one, and the
-    rule integrates polynomials up to degree 2*order - 1 exactly.
-    """
-    if not 1 <= order <= MAX_QUAD_ORDER:
-        raise ValueError(f"quadrature order must be in [1, {MAX_QUAD_ORDER}]")
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 # ---------------------------------------------------------------------------
@@ -97,57 +82,26 @@ def _poly_reflect(coeffs) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WeightingFunction:
-    """A shape function on [0, 1] together with its derivative.
-
-    ``kind`` is either ``"polynomial"`` (exact coefficient algebra, low-to-high
-    coefficients) or ``"callable"`` (arbitrary vectorized evaluator; the
-    derivative defaults to a central difference with step 1e-6, which assumes
-    the evaluator tolerates arguments slightly outside [0, 1]).
-    """
+    """A polynomial shape function on [0, 1], coefficients low to high."""
 
     label: str
-    kind: str
-    coefficients: Optional[tuple] = None
-    _eval: Optional[Callable] = None
-    _deriv: Optional[Callable] = None
+    coefficients: tuple
 
     def __post_init__(self):
-        if self.kind not in ("polynomial", "callable"):
-            raise ValueError("kind must be 'polynomial' or 'callable'")
-        if self.kind == "polynomial" and not self.coefficients:
-            raise ValueError("polynomial weighting needs coefficients")
-        if self.kind == "callable" and self._eval is None:
-            raise ValueError("callable weighting needs an evaluator")
+        if len(self.coefficients) == 0:
+            raise ValueError("a weighting function needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coefficients):  # its moments would not be finite
+            raise ValueError(NON_FINITE_MOMENTS)
 
     @classmethod
     def from_coefficients(cls, coeffs, label: Optional[str] = None) -> "WeightingFunction":
-        coeffs = tuple(float(c) for c in coeffs)
-        if not all(math.isfinite(c) for c in coeffs):  # its moments would not be finite
-            raise ValueError(NON_FINITE_MOMENTS)
-        if not coeffs:
-            coeffs = (0.0,)
+        coeffs = tuple(float(c) for c in coeffs) or (0.0,)
         if label is None:
             label = "poly:" + ",".join(format(c, "g") for c in coeffs)
-        return cls(label=label, kind="polynomial", coefficients=coeffs)
-
-    @classmethod
-    def from_callable(cls, func: Callable, deriv: Optional[Callable] = None,
-                      label: str = "callable") -> "WeightingFunction":
-        return cls(label=label, kind="callable", _eval=func, _deriv=deriv)
+        return cls(label=label, coefficients=coeffs)
 
     def __call__(self, theta):
-        if self.kind == "polynomial":
-            return npoly.polyval(theta, self.coefficients)
-        return self._eval(theta)
-
-    def deriv(self, theta):
-        if self.kind == "polynomial":
-            d = npoly.polyder(np.asarray(self.coefficients, dtype=float))
-            return npoly.polyval(theta, d)
-        if self._deriv is not None:
-            return self._deriv(theta)
-        t = np.asarray(theta, dtype=float)
-        return (self._eval(t + _FD_STEP) - self._eval(t - _FD_STEP)) / (2.0 * _FD_STEP)
+        return npoly.polyval(theta, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -189,44 +143,24 @@ class StabilityConstants:
     K: float
 
 
-def moments(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER) -> MomentTable:
-    """Integrate the seven moments of psi.
-
-    Polynomial weighting functions are integrated exactly (the quadrature
-    order is ignored); callables use the Gauss-Legendre rule of the given
-    order for every integral.
-    """
-    if psi.kind == "polynomial":
-        # finite coefficients can still overflow; MomentTable rejects the
-        # result with one message, so numpy need not warn on the way there
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = np.asarray(psi.coefficients, dtype=float)
-            cr = _poly_reflect(c)
-            d = npoly.polyder(c) if c.size > 1 else np.zeros(1)
-            dr = _poly_reflect(d)
-            return MomentTable(
-                m_psi=_poly_integral_01(c),
-                m1=_poly_integral_01(npoly.polymul([0.0, 1.0], c)),
-                m0=_poly_integral_01(npoly.polymul([1.0, -1.0], c)),
-                s=_poly_integral_01(npoly.polymul(c, c)),
-                c=_poly_integral_01(npoly.polymul(c, cr)),
-                sd=_poly_integral_01(npoly.polymul(d, d)),
-                cd=_poly_integral_01(npoly.polymul(d, dr)),
-            )
-    x, w = gauss_legendre(order)
-    v = np.asarray(psi(x), dtype=float)
-    vr = np.asarray(psi(1.0 - x), dtype=float)
-    dv = np.asarray(psi.deriv(x), dtype=float)
-    dvr = np.asarray(psi.deriv(1.0 - x), dtype=float)
-    return MomentTable(
-        m_psi=float(w @ v),
-        m1=float(w @ (x * v)),
-        m0=float(w @ ((1.0 - x) * v)),
-        s=float(w @ (v * v)),
-        c=float(w @ (v * vr)),
-        sd=float(w @ (dv * dv)),
-        cd=float(w @ (dv * dvr)),
-    )
+def moments(psi: WeightingFunction) -> MomentTable:
+    """The seven moments of psi, integrated exactly on its coefficients."""
+    # finite coefficients can still overflow; MomentTable rejects the result
+    # with one message, so numpy need not warn on the way there
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.asarray(psi.coefficients, dtype=float)
+        cr = _poly_reflect(c)
+        d = npoly.polyder(c) if c.size > 1 else np.zeros(1)
+        dr = _poly_reflect(d)
+        return MomentTable(
+            m_psi=_poly_integral_01(c),
+            m1=_poly_integral_01(npoly.polymul([0.0, 1.0], c)),
+            m0=_poly_integral_01(npoly.polymul([1.0, -1.0], c)),
+            s=_poly_integral_01(npoly.polymul(c, c)),
+            c=_poly_integral_01(npoly.polymul(c, cr)),
+            sd=_poly_integral_01(npoly.polymul(d, d)),
+            cd=_poly_integral_01(npoly.polymul(d, dr)),
+        )
 
 
 def stability_constants(m: MomentTable) -> StabilityConstants:
@@ -247,14 +181,14 @@ def check_localization(psi: WeightingFunction) -> bool:
                 and abs(float(psi(1.0)) - 1.0) <= POINT_TOL)
 
 
-def check_orthogonality(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER) -> bool:
+def check_orthogonality(psi: WeightingFunction) -> bool:
     """The (1 - theta) moment vanishes: the cross mass matrix is diagonal."""
-    return _orthogonal(moments(psi, order))
+    return _orthogonal(moments(psi))
 
 
-def check_fv_compat(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER) -> bool:
+def check_fv_compat(psi: WeightingFunction) -> bool:
     """The theta moment equals one half: the diagonal is the dual widths."""
-    return _fv_compatible(moments(psi, order))
+    return _fv_compatible(moments(psi))
 
 
 def _orthogonal(m: MomentTable) -> bool:
@@ -265,52 +199,34 @@ def _fv_compatible(m: MomentTable) -> bool:
     return bool(abs(m.m1 - 0.5) <= MOMENT_TOL)
 
 
-def check_interp_compat(psi: WeightingFunction, sample_count: int = 33) -> bool:
-    """Reflection identity psi(theta) + psi(1 - theta) = 1.
-
-    Polynomials are checked exactly on coefficients; callables on
-    ``sample_count`` Chebyshev-distributed sample points.
-    """
-    if sample_count < 3:
-        raise ValueError("sample_count must be at least 3")
-    if psi.kind == "polynomial":
-        resid = npoly.polysub(npoly.polyadd(psi.coefficients, _poly_reflect(psi.coefficients)), [1.0])
-        return bool(np.max(np.abs(resid)) <= POINT_TOL)
-    k = np.arange(sample_count)
-    theta = 0.5 * (1.0 - np.cos((2.0 * k + 1.0) * np.pi / (2.0 * sample_count)))
-    resid = np.asarray(psi(theta), dtype=float) + np.asarray(psi(1.0 - theta), dtype=float) - 1.0
+def check_interp_compat(psi: WeightingFunction) -> bool:
+    """Reflection identity psi(theta) + psi(1 - theta) = 1, on coefficients."""
+    c = psi.coefficients
+    resid = npoly.polysub(npoly.polyadd(c, _poly_reflect(c)), [1.0])
     return bool(np.max(np.abs(resid)) <= POINT_TOL)
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Truth values of the four conditions, plus the tolerances used."""
+    """Truth values of the four conditions."""
 
     localization: bool
     orthogonality: bool
     fv_compat: bool
     interp_compat: bool
-    point_tol: float = POINT_TOL
-    moment_tol: float = MOMENT_TOL
 
     def as_dict(self) -> dict:
-        return {
-            "localization": self.localization,
-            "orthogonality": self.orthogonality,
-            "fv_compat": self.fv_compat,
-            "interp_compat": self.interp_compat,
-        }
+        return asdict(self)
 
 
-def condition_report(psi: WeightingFunction, order: int = DEFAULT_QUAD_ORDER,
-                     sample_count: int = 33, m: Optional[MomentTable] = None) -> ConditionReport:
-    """The four conditions; ``m``, when given, is ``moments(psi, order)``."""
-    m = moments(psi, order) if m is None else m
+def condition_report(psi: WeightingFunction, m: Optional[MomentTable] = None) -> ConditionReport:
+    """The four conditions; ``m``, when given, is ``moments(psi)``."""
+    m = moments(psi) if m is None else m
     return ConditionReport(
         localization=check_localization(psi),
         orthogonality=_orthogonal(m),
         fv_compat=_fv_compatible(m),
-        interp_compat=check_interp_compat(psi, sample_count),
+        interp_compat=check_interp_compat(psi),
     )
 
 
@@ -344,10 +260,7 @@ def _cubic_ansatz_solution():
     A = np.array([[1.0 / 6.0, 1.0 / 12.0],
                   [1.0 / 12.0, 1.0 / 30.0]])
     rhs = np.array([0.0, 1.0 / 6.0])
-    try:
-        a, b = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # fixed well-conditioned system; guard anyway
-        raise RuntimeError("cubic ansatz system is singular") from exc
+    a, b = np.linalg.solve(A, rhs)  # det A = -1/720
     return float(a), float(b)
 
 

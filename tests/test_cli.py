@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fvpg1d
 from fvpg1d import cli
@@ -87,6 +91,43 @@ def test_non_finite_psi_is_one_line_error_in_a_fresh_process(spec):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 1
     assert result.stderr.splitlines() == ["error: weighting-function moments contain NaN or inf"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input boundary: exit 0, 1 or 2, never a traceback or a warning
+# ---------------------------------------------------------------------------
+
+float_tokens = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "1e400"]))
+psi_specs = st.one_of(
+    st.text(max_size=40),
+    st.lists(float_tokens, min_size=1, max_size=6).map(lambda xs: "poly:" + ",".join(xs)),
+    float_tokens.map(lambda x: "perturbed:" + x))
+
+
+@given(spec=psi_specs)
+def test_fuzz_psi_check_exit_codes(spec):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["psi-check", "--psi=" + spec])
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@given(text=st.one_of(
+    st.text(max_size=30),
+    st.lists(st.integers(-2**70, 2**70).map(str) | st.text(max_size=4), max_size=6).map(",".join)))
+def test_fuzz_parse_n_seq(text):
+    try:
+        values = cli.parse_n_seq(text)
+    except ValueError:
+        return
+    assert all(type(v) is int and v >= 1 for v in values)
+    assert values == sorted(set(values))
 
 
 def test_psi_check_report_payload(tmp_path, capsys):

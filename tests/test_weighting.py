@@ -103,6 +103,33 @@ def test_perturbed_zero_is_spline():
     assert perturbed_family(0.75).label == "perturbed:0.75"
 
 
+# float.hex of (m_psi, m1, m0, s, c, sd, cd), recorded when moments still had a
+# quadrature branch; the coefficient algebra is IEEE arithmetic with no libm
+# call, so any change of these bits is a change of the computation
+FROZEN_MOMENTS = {
+    "affine": ("0x1.0000000000000p-1", "0x1.5555555555555p-2", "0x1.5555555555556p-3",
+               "0x1.5555555555555p-2", "0x1.5555555555556p-3", "0x1.0000000000000p+0",
+               "0x1.0000000000000p+0"),
+    "spline": ("0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x0.0p+0",
+               "0x1.24924924924a0p+0", "-0x1.4924924924940p-1", "0x1.5000000000000p+4",
+               "0x1.5000000000000p+4"),
+    "perturbed:1": ("0x1.0000000000000p-1", "0x1.0000000000001p-1", "-0x1.4000000000000p-51",
+                    "0x1.24fa4fa4fa49cp+0", "-0x1.4854854854848p-1", "0x1.524924924924ap+4",
+                    "0x1.4db6db6db6db6p+4"),
+    "poly:0,1.7,-2.1,1.4": ("0x1.ffffffffffffep-2", "0x1.4962fc962fc95p-2",
+                            "0x1.6d3a06d3a06d6p-3", "0x1.3fd44f3078263p-2",
+                            "0x1.8057619f0fb46p-3", "0x1.1916872b020c8p+0",
+                            "0x1.1916872b020c8p+0"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_MOMENTS))
+def test_moment_tables_are_frozen(spec):
+    from fvpg1d.cli import parse_psi
+    m = moments(parse_psi(spec))
+    assert tuple(float.hex(getattr(m, key)) for key in MOMENT_KEYS) == FROZEN_MOMENTS[spec]
+
+
 def test_design_cubic_recovers_builtin():
     derived = design_cubic()
     np.testing.assert_allclose(derived.coefficients, builtin_spline().coefficients,
@@ -155,6 +182,15 @@ def test_conditions_spline():
     assert all(report.as_dict().values())
 
 
+def test_single_condition_checks_agree_with_report():
+    for psi in (builtin_affine(), builtin_spline(), perturbed_family(1.0)):
+        flags = condition_report(psi).as_dict()
+        assert check_localization(psi) == flags["localization"]
+        assert check_orthogonality(psi) == flags["orthogonality"]
+        assert check_fv_compat(psi) == flags["fv_compat"]
+        assert check_interp_compat(psi) == flags["interp_compat"]
+
+
 def test_conditions_perturbed():
     report = condition_report(perturbed_family(1.0))
     assert report.as_dict() == {
@@ -165,61 +201,16 @@ def test_conditions_perturbed():
     }
 
 
-def test_interp_compat_sample_count_validation():
-    with pytest.raises(ValueError):
-        check_interp_compat(builtin_spline(), sample_count=2)
-
-
-def test_condition_checks_on_callable():
-    psi = WeightingFunction.from_callable(
-        lambda t: np.sin(0.5 * np.pi * np.asarray(t)) ** 2,
-        deriv=lambda t: 0.5 * np.pi * np.sin(np.pi * np.asarray(t)),
-        label="sin2")
-    # sin^2(pi t / 2) satisfies the reflection identity and localization
-    assert check_localization(psi)
-    assert check_interp_compat(psi)
-    m = moments(psi, order=24)
-    assert abs(m.m_psi - 0.5) < 1e-12
-    # int theta sin^2(pi theta/2) = 1/4 + 1/pi^2
-    assert abs(m.m1 - (0.25 + 1.0 / np.pi**2)) < 1e-12
-    assert not check_fv_compat(psi, order=24)
-
-
-def test_callable_fd_derivative_close_to_exact():
-    exact = WeightingFunction.from_callable(
-        lambda t: np.asarray(t) ** 2,
-        deriv=lambda t: 2.0 * np.asarray(t))
-    fd = WeightingFunction.from_callable(lambda t: np.asarray(t) ** 2)
-    t = np.linspace(0.1, 0.9, 7)
-    np.testing.assert_allclose(fd.deriv(t), exact.deriv(t), rtol=0, atol=1e-9)
-    m_fd = moments(fd, order=16)
-    m_exact = moments(exact, order=16)
-    assert abs(m_fd.sd - m_exact.sd) < 1e-8
-
-
-def test_callable_moments_match_polynomial_path():
-    rev = [-20.0, 30.0, -9.0, 0.0]
-    drev = [-60.0, 60.0, -9.0]
-    psi = WeightingFunction.from_callable(
-        lambda t: np.polyval(rev, np.asarray(t, dtype=float)),
-        deriv=lambda t: np.polyval(drev, np.asarray(t, dtype=float)))
-    m_quad = moments(psi, order=16)
-    m_exact = moments(builtin_spline())
-    for key in MOMENT_KEYS:
-        assert abs(getattr(m_quad, key) - getattr(m_exact, key)) < 1e-11
-
-
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
 
 def test_weighting_constructor_validation():
-    with pytest.raises(ValueError):
-        WeightingFunction(label="x", kind="spline")
-    with pytest.raises(ValueError):
-        WeightingFunction(label="x", kind="polynomial")
-    with pytest.raises(ValueError):
-        WeightingFunction(label="x", kind="callable")
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        WeightingFunction(label="x", coefficients=())
+    for bad in ((0.0, float("nan")), (float("inf"), 1.0), (0.0, 1.0, -np.inf)):
+        with pytest.raises(ValueError, match="NaN or inf"):
+            WeightingFunction(label="x", coefficients=bad)
 
 
 def test_from_coefficients_default_label():
