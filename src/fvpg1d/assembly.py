@@ -4,12 +4,15 @@ All three schemes share the same unknowns: one value per cell for u and one
 value per vertex for the gradient p.  The classical mixed scheme tests the
 gradient equation with hat functions, the Petrov-Galerkin scheme with the
 psi-generated nodal functions, and the heuristic finite-volume scheme is what
-remains after eliminating p with the dual-width difference quotient.
+remains after eliminating p with the dual-width difference quotient.  Each
+test space gives a mass block fixed by two moments (m1, m0), so a saddle
+system stores that pair and builds the bands on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -23,7 +26,6 @@ __all__ = [
     "cell_gauss_rule",
     "SourceFunction",
     "SaddleSystem",
-    "assemble_mass_classical",
     "assemble_mass_pg",
     "assemble_div",
     "project_rhs",
@@ -59,11 +61,6 @@ class TriDiagonal:
             arr = np.array(arr, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def shape(self):
-        m = self.diag.size
-        return (m, m)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -123,19 +120,10 @@ def _as_source(f: Union[SourceFunction, Callable]) -> SourceFunction:
     return f if isinstance(f, SourceFunction) else SourceFunction(f)
 
 
-def assemble_mass_classical(mesh: Mesh) -> TriDiagonal:
-    """Hat-function mass matrix.
-
-    Diagonal 2/3 of the dual width, off-diagonals 1/6 of the cell width
-    between the two vertices; each row sums to the dual width of its vertex.
-    """
-    off = (1.0 / 6.0) * mesh.cell_widths
-    return TriDiagonal(lower=off, diag=(2.0 / 3.0) * mesh.dual_widths, upper=off)
-
-
 def assemble_mass_pg(mesh: Mesh, m: MomentTable) -> TriDiagonal:
     """Cross mass matrix between hat trial functions and psi test functions.
 
+    Only ``m.m1`` and ``m.m0`` are read, so ``m`` may also be a SaddleSystem.
     Row index is the hat index, column index the test index; the two
     orientations coincide because entry (j, j+1) and entry (j+1, j) both
     equal m0 times the width of the shared cell.  With orthogonality (m0 = 0)
@@ -187,51 +175,40 @@ def assemble_fv(mesh: Mesh, f: Union[SourceFunction, Callable],
 class SaddleSystem:
     """Block system [[M, B^t], [B, 0]] (p, u) = (0, -rhs_cells).
 
-    ``mass`` is the (possibly cross) mass matrix, ``rhs_cells`` the cell loads
-    and ``div_matrix`` the two bands of the n x (n+1) divergence block, shape
-    (2, n): B[l, l] = div_matrix[0, l] and B[l, l+1] = div_matrix[1, l].  The
-    mass block must be symmetric, so trial-row and test-row orientations agree,
-    and B the (-1, +1) pattern of ``assemble_div`` that ``flux_balance`` assumes.
+    The mass block is fixed by a pair of moments,
+    M(m1, m0) = 2 m1 diag(dual widths) + m0 offdiag(cell widths): fv is
+    (1/2, 0), classical (1/3, 1/6) and pg the (m1, m0) of psi.  B is the
+    (-1, +1) divergence of ``assemble_div``, the same for every scheme.
     """
 
-    mass: TriDiagonal
-    div_matrix: np.ndarray
-    rhs_cells: np.ndarray
     mesh: Mesh
+    m1: float
+    m0: float
+    rhs_cells: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        n = self.mesh.n
-        if self.mass.shape != (n + 1, n + 1):
-            raise ValueError("mass block must be (n+1) x (n+1)")
-        if not np.array_equal(self.mass.lower, self.mass.upper, equal_nan=True):
-            raise ValueError("mass block must be symmetric")
-        if not np.array_equal(self.div_matrix, assemble_div(self.mesh)):
-            raise ValueError("divergence block must be the two (-1, +1) difference bands")
-        if self.rhs_cells.shape != (n,):
+        if self.rhs_cells.shape != (self.mesh.n,):
             raise ValueError("rhs must have one entry per cell")
+
+    # derived from the pair; div_matrix stays only for bench/workloads.py's byte count
+    @cached_property
+    def mass(self) -> TriDiagonal:
+        return assemble_mass_pg(self.mesh, self)
+
+    @property
+    def div_matrix(self) -> np.ndarray:
+        return assemble_div(self.mesh)
 
 
 def saddle_classical(mesh: Mesh, f: Union[SourceFunction, Callable],
                      quad_order: int = DEFAULT_QUAD_ORDER) -> SaddleSystem:
-    """Classical mixed scheme: hat test functions for the gradient equation."""
-    return SaddleSystem(
-        mass=assemble_mass_classical(mesh),
-        div_matrix=assemble_div(mesh),
-        rhs_cells=project_rhs(mesh, f, quad_order),
-        mesh=mesh,
-        label="classical",
-    )
+    """Classical mixed scheme: hat test functions, whose mass is the pair (1/3, 1/6)."""
+    return SaddleSystem(mesh, 1.0 / 3.0, 1.0 / 6.0, project_rhs(mesh, f, quad_order), "classical")
 
 
 def saddle_pg(mesh: Mesh, m: MomentTable, f: Union[SourceFunction, Callable],
               quad_order: int = DEFAULT_QUAD_ORDER, label: str = "pg") -> SaddleSystem:
     """Petrov-Galerkin scheme: psi-generated test functions, summarized by
     the moment table."""
-    return SaddleSystem(
-        mass=assemble_mass_pg(mesh, m),
-        div_matrix=assemble_div(mesh),
-        rhs_cells=project_rhs(mesh, f, quad_order),
-        mesh=mesh,
-        label=label,
-    )
+    return SaddleSystem(mesh, m.m1, m.m0, project_rhs(mesh, f, quad_order), label)

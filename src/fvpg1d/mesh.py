@@ -71,7 +71,7 @@ class Mesh:
 class RegularFamilySpec:
     """Parameters of the random uniformly-regular family.
 
-    All cell widths are kept inside [alpha/n, beta/n] with 0 < alpha < 1 < beta,
+    All cell widths are kept inside [alpha/n, beta/n] with 0 < alpha < 1 < beta < inf,
     so the width ratio of any two cells is bounded by beta/alpha independently
     of n.  ``seed`` makes draws reproducible.
     """
@@ -82,8 +82,8 @@ class RegularFamilySpec:
     seed: int
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0 < self.beta):
-            raise ValueError("need 0 < alpha < 1 < beta")
+        if not (0.0 < self.alpha < 1.0 < self.beta < np.inf):
+            raise ValueError("need 0 < alpha < 1 < beta < inf")
         if self.n < 1:
             raise ValueError("need at least one cell")
         if not (0 <= int(self.seed) < 2**64):
@@ -129,8 +129,8 @@ def validate_regular(mesh: Mesh, alpha: float, beta: float) -> bool:
     Comparisons carry a 1e-12 relative slack so meshes rebuilt from rounded
     vertex coordinates do not fail at the band edges.
     """
-    if not (0.0 < alpha < 1.0 < beta):
-        raise ValueError("need 0 < alpha < 1 < beta")
+    if not (0.0 < alpha < 1.0 < beta < np.inf):
+        raise ValueError("need 0 < alpha < 1 < beta < inf")
     lo = alpha / mesh.n
     hi = beta / mesh.n
     w = mesh.cell_widths

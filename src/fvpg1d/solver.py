@@ -1,8 +1,9 @@
 """Direct solvers: every scheme is one block saddle system.
 
 fv, classical and pg all solve [[M, B^t], [B, 0]] (p, u) = (g, f), with B the
-(-1, +1) divergence of ``assemble_div``; fv has M = diag(dual widths).  One
-kernel, ``flux_balance``, solves it with two prefix sums and no factorization.
+(-1, +1) divergence of ``assemble_div`` and M = M(m1, m0) fixed by two
+moments; fv has M = diag(dual widths), the pair (1/2, 0).  One kernel,
+``flux_balance``, solves it with two prefix sums and no factorization.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .assembly import DEFAULT_QUAD_ORDER, SaddleSystem, project_rhs
+from .assembly import DEFAULT_QUAD_ORDER, SaddleSystem, TriDiagonal, project_rhs
 from .mesh import Mesh
 
 __all__ = ["SolverError", "DiscreteSolution", "flux_balance", "solve_fv", "solve_mixed", "residual"]
@@ -72,6 +73,40 @@ def solve_fv(mesh: Mesh, f, quad_order: int = DEFAULT_QUAD_ORDER) -> DiscreteSol
     return DiscreteSolution(u_cells=u, p_nodes=p, mesh=mesh, scheme="fv")
 
 
+def _count_below(M: TriDiagonal, x: float) -> int:
+    """Eigenvalues of the symmetric tridiagonal M below x (Sturm count): the
+    negative pivots of the LDL^t factorization of M - x I."""
+    count, d = 0, 1.0
+    for a, b2 in zip((M.diag - x).tolist(), np.append(0.0, M.upper**2).tolist()):
+        d = (a - b2 / d) or -np.finfo(float).tiny  # a zero pivot counts as negative
+        count += d < 0.0
+    return count
+
+
+def _schur_gate(M: TriDiagonal, m1: float, m0: float) -> None:
+    """Raise SolverError unless B M^{-1} B^t is positive definite for M(m1, m0).
+
+    B has the constants as its kernel, so it is exactly when M is nonsingular
+    with no negative eigenvalue, or with one and 1^t M 1 < 0.  M has the inertia of
+    2 m1 + m0 mu over the eigenvalues mu of the pencil (offdiag(h), diag(dual)),
+    which lie in [-2, 2] and attain both ends; only for m0 < 0 and |m1| < |m0|
+    (then 1^t M 1 = 2 (m1 + m0) < 0) must a Sturm count of M decide.
+    """
+    tol = 1e-12 * (abs(m1) + abs(m0))
+    if m1 - abs(m0) > tol and M.diag.all():  # a 0 on the diagonal has underflowed
+        return
+    if m1 - abs(m0) > tol or abs(abs(m1) - abs(m0)) <= tol:
+        raise SolverError("mass block is singular")
+    if m0 < 0.0 and abs(m1) < abs(m0):
+        shift = 1e-12 * (np.abs(M.diag).max() + 2.0 * np.abs(M.upper).max())
+        negative = _count_below(M, -shift)
+        if negative != _count_below(M, shift):
+            raise SolverError("mass block is singular")
+        if negative == 1:
+            return
+    raise SolverError("Schur complement is not positive definite")
+
+
 def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
     """Solve a saddle system with ``flux_balance`` behind a rejection gate.
 
@@ -79,21 +114,12 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
     complement B M^{-1} B^t that is not positive definite, or a block
     residual above 1e-10 relative.
     """
-    M, f_cells = system.mass, system.rhs_cells
-    _require_finite("mass block", M.lower, M.diag, M.upper)
+    f_cells = system.rhs_cells
+    _require_finite("mass block", system.m1, system.m0)
     _require_finite("cell load vector", f_cells)
-    from scipy.linalg import eigvalsh_tridiagonal  # loaded only by the mixed schemes
-
-    tol = 1e-12 * (np.abs(M.diag).max() + 2.0 * np.abs(M.upper).max())
-    low = eigvalsh_tridiagonal(M.diag, M.upper, select="v", select_range=(-np.inf, tol))
-    if np.any(np.abs(low) <= tol):
-        raise SolverError("mass block is singular")
-    r = M.row_sums()
-    # B has the constants as its kernel, so B M^{-1} B^t is positive definite
-    # exactly when M has no negative eigenvalue, or one and 1^t M 1 < 0
-    if low.size > 1 or (low.size == 1 and r.sum() >= 0.0):
-        raise SolverError("Schur complement is not positive definite")
-    p, u = flux_balance(M.matvec, r, -f_cells)
+    M = system.mass
+    _schur_gate(M, system.m1, system.m0)
+    p, u = flux_balance(M.matvec, M.row_sums(), -f_cells)
     solution = DiscreteSolution(u_cells=u, p_nodes=p, mesh=system.mesh,
                                 scheme=system.label or "mixed")
     res = residual(system, solution)
@@ -105,7 +131,7 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
 
 def residual(system: SaddleSystem, solution: DiscreteSolution) -> float:
     """Max-norm residual of the full block system at a candidate solution."""
-    D, p, u = system.div_matrix, solution.p_nodes, solution.u_cells
-    r_grad = system.mass.matvec(p) + np.append(D[0] * u, 0.0) + np.append(0.0, D[1] * u)
-    r_cells = D[0] * p[:-1] + D[1] * p[1:] + system.rhs_cells
+    p, u = solution.p_nodes, solution.u_cells
+    r_grad = system.mass.matvec(p) + np.append(-u, 0.0) + np.append(0.0, u)
+    r_cells = np.diff(p) + system.rhs_cells
     return float(max(np.abs(r_grad).max(), np.abs(r_cells).max()))

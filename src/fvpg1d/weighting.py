@@ -95,7 +95,10 @@ class WeightingFunction:
 
     @classmethod
     def from_coefficients(cls, coeffs, label: Optional[str] = None) -> "WeightingFunction":
-        coeffs = tuple(float(c) for c in coeffs) or (0.0,)
+        try:
+            coeffs = tuple(float(c) for c in coeffs) or (0.0,)
+        except OverflowError:  # an int beyond the float range
+            raise ValueError(NON_FINITE_MOMENTS) from None
         if label is None:
             label = "poly:" + ",".join(format(c, "g") for c in coeffs)
         return cls(label=label, coefficients=coeffs)

@@ -375,17 +375,20 @@ def test_infsup_perturbed_law_at_large_n():
 
 
 def test_infsup_leaves_scipy_sparse_unimported(tmp_path):
-    # structural guard on start-up cost, no timing: the CLI, psi-check, an fv
-    # solve and the estimator need neither scipy.linalg nor scipy.sparse;
-    # the two callers that load scipy.linalg themselves still work afterwards
+    # structural guard on start-up cost, no timing: the CLI, psi-check, the
+    # solve and converge commands of every scheme and the estimator need
+    # neither scipy.linalg nor scipy.sparse; the one caller that loads
+    # scipy.linalg itself, the witness, still works afterwards
     code = ("import sys, fvpg1d, fvpg1d.cli\n"
             "assert fvpg1d.cli.main(['psi-check']) == 0\n"
             "assert fvpg1d.cli.main(['solve', '--scheme', 'fv', '--n', '64', '-o', 'fv.csv']) == 0\n"
+            "assert fvpg1d.cli.main(['solve', '--scheme', 'pg', '--n', '64', '--compare',\n"
+            "                        '-o', 'pg.csv']) == 0\n"
+            "assert fvpg1d.cli.main(['converge', '--scheme', 'classical', '-o', 'cl.csv']) == 0\n"
             "mesh, m = fvpg1d.build_uniform(8), fvpg1d.moments(fvpg1d.builtin_spline())\n"
             "fvpg1d.infsup_constant(mesh, m)\n"
             "loaded = [name for name in ('scipy.linalg', 'scipy.sparse') if name in sys.modules]\n"
             "assert not loaded, loaded\n"
-            "fvpg1d.solve_mixed(fvpg1d.saddle_pg(mesh, m, fvpg1d.sin_problem().f))\n"
             "assert fvpg1d.infsup_witness_sup(mesh, m) > 0.0\n")
     path = [str(Path(fvpg1d.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fvpg1d import (Mesh, RegularFamilySpec, SaddleSystem, SourceFunction,
-                    TriDiagonal, assemble_div, assemble_fv,
-                    assemble_mass_classical, assemble_mass_pg,
+                    TriDiagonal, assemble_div, assemble_fv, assemble_mass_pg,
                     build_random_regular, build_uniform, builtin_affine,
                     builtin_spline, moments, perturbed_family, project_rhs,
-                    sin_problem)
+                    saddle_classical, sin_problem)
 
 from oracles import dense_tridiagonal, simpson
 
@@ -26,7 +25,6 @@ def test_tridiagonal_roundtrip():
     T = TriDiagonal(lower=rng.normal(size=m - 1), diag=rng.normal(size=m),
                     upper=rng.normal(size=m - 1))
     dense = dense_tridiagonal(T)
-    assert T.shape == (m, m)
     x = rng.normal(size=m)
     np.testing.assert_allclose(T.matvec(x), dense @ x, rtol=0, atol=1e-14)
     np.testing.assert_allclose(T.row_sums(), dense.sum(axis=1), rtol=0, atol=1e-14)
@@ -88,9 +86,10 @@ def test_cell_integrals_simpson_cross_check():
 
 def test_classical_mass_structure():
     mesh = random_mesh(11, 1)
-    M = assemble_mass_classical(mesh)
-    np.testing.assert_allclose(M.diag, (2.0 / 3.0) * mesh.dual_widths, rtol=0, atol=1e-16)
-    np.testing.assert_allclose(M.lower, (1.0 / 6.0) * mesh.cell_widths, rtol=0, atol=1e-16)
+    M = saddle_classical(mesh, sin_problem().f).mass
+    # the pair (1/3, 1/6) gives the hat-function bands bit for bit
+    np.testing.assert_array_equal(M.diag, (2.0 / 3.0) * mesh.dual_widths)
+    np.testing.assert_array_equal(M.lower, (1.0 / 6.0) * mesh.cell_widths)
     np.testing.assert_array_equal(M.lower, M.upper)
     # row sums collapse to the dual widths
     np.testing.assert_allclose(M.row_sums(), mesh.dual_widths, rtol=0, atol=1e-15)
@@ -102,7 +101,7 @@ def test_classical_mass_structure():
 def test_pg_mass_affine_equals_classical():
     mesh = random_mesh(9, 2)
     M_pg = assemble_mass_pg(mesh, moments(builtin_affine()))
-    M_cl = assemble_mass_classical(mesh)
+    M_cl = saddle_classical(mesh, sin_problem().f).mass
     np.testing.assert_allclose(dense_tridiagonal(M_pg), dense_tridiagonal(M_cl),
                                rtol=0, atol=1e-15)
 
@@ -206,22 +205,9 @@ def test_fv_matrix_is_schur_complement_of_pg():
 
 def test_saddle_shape_validation():
     mesh = build_uniform(4)
-    M = assemble_mass_classical(mesh)
-    B = assemble_div(mesh)
-    rhs = np.zeros(mesh.n)
-    SaddleSystem(mass=M, div_matrix=B, rhs_cells=rhs, mesh=mesh)  # fine
-    small = assemble_mass_classical(build_uniform(3))
+    SaddleSystem(mesh, 1.0 / 3.0, 1.0 / 6.0, np.zeros(mesh.n))  # fine
     with pytest.raises(ValueError):
-        SaddleSystem(mass=small, div_matrix=B, rhs_cells=rhs, mesh=mesh)
-    with pytest.raises(ValueError):
-        SaddleSystem(mass=M, div_matrix=B.T, rhs_cells=rhs, mesh=mesh)
-    with pytest.raises(ValueError, match="difference bands"):
-        SaddleSystem(mass=M, div_matrix=-B, rhs_cells=rhs, mesh=mesh)
-    with pytest.raises(ValueError):
-        SaddleSystem(mass=M, div_matrix=B, rhs_cells=np.zeros(mesh.n + 1), mesh=mesh)
-    skew = TriDiagonal(lower=M.lower, diag=M.diag, upper=2.0 * M.upper)
-    with pytest.raises(ValueError):
-        SaddleSystem(mass=skew, div_matrix=B, rhs_cells=rhs, mesh=mesh)
+        SaddleSystem(mesh, 1.0 / 3.0, 1.0 / 6.0, np.zeros(mesh.n + 1))
 
 
 def test_saddle_labels():

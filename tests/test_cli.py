@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import fvpg1d
 from fvpg1d import cli
@@ -128,6 +128,27 @@ def test_fuzz_parse_n_seq(text):
         return
     assert all(type(v) is int and v >= 1 for v in values)
     assert values == sorted(set(values))
+
+
+# the floats that can break the band [alpha/n, beta/n] of a regular mesh
+band_specials = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324])
+
+
+@example(alpha=0.5, beta=np.inf, seed=0)
+@given(alpha=st.floats(0.0, 1.0) | band_specials | st.floats(),
+       beta=st.floats(1.0, 1e308) | band_specials | st.floats(),
+       seed=st.integers(-2**70, 2**70) | st.integers(0, 99))
+def test_fuzz_solve_regular_mesh_bounds(alpha, beta, seed, tmp_path_factory):
+    out_csv = tmp_path_factory.getbasetemp() / "fuzz_regular.csv"
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["solve", "--mesh", "regular", f"--alpha={alpha!r}", f"--beta={beta!r}",
+                    f"--seed={seed}", "--n", "8", "-o", str(out_csv)])
+    assert code in (0, 1)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_psi_check_report_payload(tmp_path, capsys):

@@ -75,6 +75,9 @@ def test_family_spec_validation():
         RegularFamilySpec(alpha=0.5, beta=2.0, n=0, seed=0)
     with pytest.raises(ValueError):
         RegularFamilySpec(alpha=0.5, beta=2.0, n=4, seed=-1)
+    for alpha, beta in ((0.5, np.inf), (0.5, np.nan), (np.nan, 2.0), (-np.inf, 2.0)):
+        with pytest.raises(ValueError, match="beta < inf"):
+            RegularFamilySpec(alpha=alpha, beta=beta, n=4, seed=0)
 
 
 def test_random_regular_is_deterministic():
@@ -104,6 +107,9 @@ def test_validate_regular_detects_band_violation():
 def test_validate_regular_rejects_bad_band():
     with pytest.raises(ValueError):
         validate_regular(build_uniform(4), 2.0, 0.5)
+    for beta in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            validate_regular(build_uniform(4), 0.5, beta)
 
 
 @given(

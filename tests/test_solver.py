@@ -1,18 +1,20 @@
 import dataclasses
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fvpg1d import (DiscreteSolution, MomentTable, RegularFamilySpec,
-                    SaddleSystem, SolverError, TriDiagonal, assemble_div, assemble_fv,
-                    assemble_mass_classical, build_random_regular,
+                    SaddleSystem, SolverError, TriDiagonal, assemble_fv,
+                    build_random_regular,
                     build_uniform, builtin_affine, builtin_spline, moments,
                     perturbed_family, project_rhs, quadratic_problem,
                     residual, saddle_classical, saddle_pg, sin_problem,
                     solve_fv, solve_mixed, zero_problem)
-from fvpg1d.solver import RESIDUAL_RTOL
+from fvpg1d.solver import RESIDUAL_RTOL, _count_below
 
 from oracles import dense_tridiagonal, schur_is_pd
 
@@ -114,49 +116,81 @@ def test_symmetry_on_uniform_mesh():
 
 
 def test_mixed_rejects_singular_mass():
-    mesh = build_uniform(4)
-    n = mesh.n
-    M = TriDiagonal(lower=np.zeros(n), diag=np.zeros(n + 1), upper=np.zeros(n))
-    system = SaddleSystem(mass=M, div_matrix=assemble_div(mesh),
-                          rhs_cells=project_rhs(mesh, sin_problem().f), mesh=mesh)
-    with pytest.raises(SolverError):
-        solve_mixed(system)
+    # psi = 1e-320 t is definite as a pair, but at n = 2000 its bands round
+    # to 0 on the boundary rows and at n = 10^4 on every row, which the gate
+    # must not take for a definite mass block
+    for n, m1, m0 in ((4, 0.0, 0.0), (2000, 1e-320 / 3, 1e-320 / 6),
+                      (10**4, 1e-320 / 3, 1e-320 / 6)):
+        mesh = build_uniform(n)
+        system = SaddleSystem(mesh, m1, m0, project_rhs(mesh, sin_problem().f))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SolverError, match="mass block is singular"):
+                solve_mixed(system)
 
 
 def test_mixed_rejects_indefinite_schur():
+    # -M for the classical pair: every mass eigenvalue is negative
     mesh = build_uniform(6)
-    M = assemble_mass_classical(mesh)
-    negM = TriDiagonal(lower=-M.lower, diag=-M.diag, upper=-M.upper)
-    system = SaddleSystem(mass=negM, div_matrix=assemble_div(mesh),
-                          rhs_cells=project_rhs(mesh, sin_problem().f), mesh=mesh)
-    with pytest.raises(SolverError):
+    system = SaddleSystem(mesh, -1.0 / 3.0, -1.0 / 6.0, project_rhs(mesh, sin_problem().f))
+    with pytest.raises(SolverError, match="not positive definite"):
         solve_mixed(system)
 
 
 def test_schur_gate_matches_dense_oracle():
     # moment tables over a grid of (m1, m0), including m_psi < 0 with exactly
-    # one negative mass eigenvalue, where the Schur complement stays definite
+    # one negative mass eigenvalue, where the Schur complement stays definite,
+    # and pairs within 1e-9 of the singular lines |m1| = |m0|
     grid = np.linspace(-1.0, 1.0, 11)
+    pairs = [(m1, m0) for m1 in grid for m0 in grid]
+    pairs += [(abs(m0) * (1.0 + e), m0) for m0 in grid if m0 != 0.0 for e in (1e-9, -1e-9)]
     f = sin_problem().f
     indefinite_accepted = 0
-    for n in (1, 2, 3, 5, 8, 16):
-        for mesh in (build_uniform(n), random_mesh(n, n)):
-            for m1 in grid:
-                for m0 in grid:
-                    table = MomentTable(m_psi=m1 + m0, m1=m1, m0=m0, s=1.0, c=0.0,
-                                        sd=1.0, cd=0.0)
-                    system = saddle_pg(mesh, table, f)
-                    M = dense_tridiagonal(system.mass)
-                    eigs = np.linalg.eigvalsh(M)
-                    if np.abs(eigs).min() <= 1e-10 * np.abs(eigs).max():
-                        continue  # singular mass block: rejected, tested above
-                    if schur_is_pd(M):
+    for n in (1, 2, 3, 4, 5, 8, 16, 64, 257):
+        for mesh in (build_uniform(n), random_mesh(n, n),
+                     build_random_regular(RegularFamilySpec(0.1, 5.0, n, n))):
+            for m1, m0 in pairs:
+                table = MomentTable(m_psi=m1 + m0, m1=m1, m0=m0, s=1.0, c=0.0,
+                                    sd=1.0, cd=0.0)
+                system = saddle_pg(mesh, table, f)
+                M = dense_tridiagonal(system.mass)
+                eigs = np.linalg.eigvalsh(M)
+                if np.abs(eigs).min() <= 1e-10 * np.abs(eigs).max():
+                    with pytest.raises(SolverError):  # singular mass block
                         solve_mixed(system)
-                        indefinite_accepted += eigs.min() < 0.0
-                    else:
-                        with pytest.raises(SolverError, match="not positive definite"):
-                            solve_mixed(system)
+                elif schur_is_pd(M):
+                    solve_mixed(system)
+                    indefinite_accepted += eigs.min() < 0.0
+                else:
+                    with pytest.raises(SolverError, match="not positive definite"):
+                        solve_mixed(system)
     assert indefinite_accepted > 0
+
+
+def test_sturm_count_matches_dense_eigenvalues():
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 10, 50):
+        off = rng.normal(size=m - 1)
+        T = TriDiagonal(lower=off, diag=rng.normal(size=m), upper=off)
+        eigs = np.linalg.eigvalsh(dense_tridiagonal(T))
+        for x in (-0.5, 0.0, 0.7):
+            assert _count_below(T, x) == np.count_nonzero(eigs < x)
+    # an exact zero pivot (eigenvalues -1 and 1) is stepped over, not divided by
+    T = TriDiagonal(lower=np.ones(1), diag=np.zeros(2), upper=np.ones(1))
+    assert _count_below(T, 0.0) == 1
+
+
+@pytest.mark.parametrize("m1, m0", [(1.0 / 6.0, 1.0 / 3.0), (-1.0 / 6.0, -1.0 / 3.0)],
+                         ids=["1-t", "t-1"])
+def test_schur_gate_rejects_indefinite_mass_at_large_n(m1, m0):
+    # psi = 1 - t, and its negative, which needs the Sturm count: both leave
+    # about half the mass eigenvalues negative, and the gate stays O(n)
+    mesh = build_uniform(2**18)
+    system = SaddleSystem(mesh, m1, m0, project_rhs(mesh, sin_problem().f))
+    start = time.perf_counter()
+    with pytest.raises(SolverError, match="not positive definite"):
+        solve_mixed(system)
+    assert time.perf_counter() - start < 2.0
 
 
 SCHEMES = {
@@ -175,11 +209,8 @@ def test_non_finite_input_raises_solver_error(scheme, bad):
         SCHEMES[scheme](mesh, f)
     if scheme != "fv":
         system = saddle_classical(mesh, sin_problem().f)
-        diag = system.mass.diag.copy()
-        diag[3] = bad
-        mass = dataclasses.replace(system.mass, diag=diag)
         with pytest.raises(SolverError, match="mass block contains NaN or inf"):
-            solve_mixed(dataclasses.replace(system, mass=mass))
+            solve_mixed(dataclasses.replace(system, m1=bad))
 
 
 @pytest.mark.parametrize("scheme", ["classical", "pg:affine", "fv"])

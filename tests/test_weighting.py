@@ -211,6 +211,8 @@ def test_weighting_constructor_validation():
     for bad in ((0.0, float("nan")), (float("inf"), 1.0), (0.0, 1.0, -np.inf)):
         with pytest.raises(ValueError, match="NaN or inf"):
             WeightingFunction(label="x", coefficients=bad)
+    with pytest.raises(ValueError, match="NaN or inf"):  # an int beyond the float range
+        WeightingFunction.from_coefficients([0, 10**400])
 
 
 def test_from_coefficients_default_label():
