@@ -14,6 +14,9 @@ identity fails; the measured law is delta_T ~ 1/(n sqrt(2 epsilon)), with
 epsilon the reflection defect of ``stability_constants``.  All of it is O(n):
 the flux-balance kernel of the solver, a closed-form check that each Gram
 matrix is positive definite and a short Lanczos run, no (2n + 1)^2 matrix.
+The witness of ``infsup_witness_sup`` reduces the test Gram matrix onto its
+two end nodes by pairwise merges of the cells, in numpy alone and without
+subtracting the 1/h terms that cancel in its bands.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, TriDiagonal, assemble_div,
-                       assemble_mass_pg, cell_gauss_rule, saddle_classical, saddle_pg)
+from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, TriDiagonal, assemble_mass_pg,
+                       cell_gauss_rule, saddle_classical, saddle_pg)
 from .mesh import Mesh, RegularFamilySpec, build_random_regular, build_uniform
 from .solver import DiscreteSolution, SolverError, flux_balance, solve_fv, solve_mixed
 from .weighting import MomentTable, WeightingFunction, builtin_affine, moments
@@ -276,22 +279,41 @@ class InfSupReport:
     mesh_id: str = ""
 
 
+def _gram_halves(mesh: Mesh, m: MomentTable):
+    """2a and 2b of every cell, for the element matrix
+    a (e_l + e_r)(e_l + e_r)^t + b (e_l - e_r)(e_l - e_r)^t of the graph-norm
+    Gram matrix of the psi nodal functions:
+
+        2a = (s + c) h + (sd - cd) / h,    2b = (s - c) h + (sd + cd) / h.
+
+    Each combination x + y is a square integral, >= 0, formed once from the
+    table; one of at most 1e-14 (|x| + |y|) is rounding and counts as 0, so no
+    two 1/h terms are ever subtracted.  The Gram matrix is positive definite
+    exactly when a > 0 and b > 0 on every cell; ValueError otherwise.
+    """
+    def combination(x, y):
+        v = x + y
+        return 0.0 if abs(v) <= 1e-14 * (abs(x) + abs(y)) else v
+
+    h = mesh.cell_widths
+    a2 = combination(m.s, m.c) * h + combination(m.sd, -m.cd) / h
+    b2 = combination(m.s, -m.c) * h + combination(m.sd, m.cd) / h
+    if not (np.all(a2 > 0.0) and np.all(b2 > 0.0)):
+        raise ValueError(DEGENERATE_GRAM)
+    return a2, b2
+
+
 def _nodal_gram(mesh: Mesh, m: MomentTable) -> TriDiagonal:
     """Graph-norm Gram matrix of the psi nodal functions (the hat functions
-    for the affine table).
+    for the affine table): the per-cell blocks [[cell, off], [off, cell]],
+    cell = s h + sd/h and off = c h - cd/h, summed.
 
-    Each element matrix [[cell, off], [off, cell]] is
-    a (e_l + e_r)(e_l + e_r)^t + b (e_l - e_r)(e_l - e_r)^t with
-    a, b = (cell +- off)/2 >= 0 by Cauchy-Schwarz, so the sum is positive
-    definite exactly when min(a, b) = (cell - |off|)/2 > 0 on every cell.
-    Against rounding, min(a, b) must exceed 1e-14 (|s| h + |c| h + |sd|/h + |cd|/h):
-    degenerate psi leave at most 2e-16 of it, psi = 1 - 2t + 1e-6 t^2 leaves 4e-14.
+    ``_gram_halves`` (a, b = (cell +- off)/2) checks that it is positive
+    definite and raises ValueError for a degenerate psi.
     """
+    _gram_halves(mesh, m)
     h = mesh.cell_widths
     cell, off = m.s * h + m.sd / h, m.c * h - m.cd / h
-    tol = 2e-14 * ((abs(m.s) + abs(m.c)) * h + (abs(m.sd) + abs(m.cd)) / h)
-    if not np.all(cell - np.abs(off) > tol):
-        raise ValueError(DEGENERATE_GRAM)
     return TriDiagonal(lower=off, diag=np.append(cell, 0.0) + np.append(0.0, cell), upper=off)
 
 
@@ -353,17 +375,28 @@ def infsup_witness_sup(mesh: Mesh, m: MomentTable) -> float:
 
     This particular trial direction has unit graph norm and is the one along
     which unstable weighting functions lose the inf-sup bound as n grows.  Its
-    response r = G xi is B^t 1 on the nodes and 0 on the cells.
+    response is r = B^t 1 = e_n - e_0 on the nodes and 0 on the cells, so the
+    witness sqrt(r^t T^{-1} r) needs only the Schur complement of the test Gram
+    matrix T onto the end nodes.  Each cell is the two-port
+    diag(sigma_l, sigma_r) + g (e_l - e_r)(e_l - e_r)^t, sigma = 2a and g = b - a
+    from ``_gram_halves``; neighbours merge pairwise (the shared node
+    eliminated, about log2 n numpy passes, O(n) work) until one two-port is
+    left: r^t T^{-1} r = (sigma_l + sigma_r) / (sigma_l sigma_r + g (sigma_l + sigma_r)).
     """
-    from scipy.linalg.lapack import dpbtrf, dpbtrs  # loaded on first use, not at import
-
-    T = _nodal_gram(mesh, m)
-    factor, info = dpbtrf(np.vstack((np.append(0.0, T.upper), T.diag)))
-    if info != 0:
-        raise ValueError(DEGENERATE_GRAM)
-    D = assemble_div(mesh)
-    r = np.append(D[0], 0.0) + np.append(0.0, D[1])
-    return float(np.sqrt(r @ dpbtrs(factor, r)[0]))
+    a2, b2 = _gram_halves(mesh, m)
+    left, right, g = a2, a2, 0.5 * (b2 - a2)
+    while g.size > 1:
+        end = g.size - g.size % 2  # with an odd count the last two-port waits a pass
+        g1, g2 = g[0:end:2], g[1:end:2]
+        mid = right[0:end:2] + left[1:end:2]  # the shared node's own sigma
+        d = mid + g1 + g2
+        t = mid / d
+        merged = (left[0:end:2] + g1 * t, right[1:end:2] + g2 * t, g1 * g2 / d)
+        if end < g.size:
+            merged = tuple(np.append(x, y[-1]) for x, y in zip(merged, (left, right, g)))
+        left, right, g = merged
+    total = left[0] + right[0]
+    return float(np.sqrt(total / (left[0] * right[0] + g[0] * total)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,12 @@ def _schur_gate(M: TriDiagonal, m1: float, m0: float) -> None:
     with no negative eigenvalue, or with one and 1^t M 1 < 0.  M has the inertia of
     2 m1 + m0 mu over the eigenvalues mu of the pencil (offdiag(h), diag(dual)),
     which lie in [-2, 2] and attain both ends; only for m0 < 0 and |m1| < |m0|
-    (then 1^t M 1 = 2 (m1 + m0) < 0) must a Sturm count of M decide.
+    (then 1^t M 1 = 2 (m1 + m0) < 0) must a Sturm count of M decide.  A definite
+    pair whose diagonal band has left the normal range has lost its digits to
+    underflow, and its mass block counts as singular.
     """
     tol = 1e-12 * (abs(m1) + abs(m0))
-    if m1 - abs(m0) > tol and M.diag.all():  # a 0 on the diagonal has underflowed
+    if m1 - abs(m0) > tol and np.abs(M.diag).min() >= np.finfo(float).tiny:
         return
     if m1 - abs(m0) > tol or abs(abs(m1) - abs(m0)) <= tol:
         raise SolverError("mass block is singular")

@@ -116,12 +116,14 @@ def test_symmetry_on_uniform_mesh():
 
 
 def test_mixed_rejects_singular_mass():
-    # psi = 1e-320 t is definite as a pair, but at n = 2000 its bands round
-    # to 0 on the boundary rows and at n = 10^4 on every row, which the gate
-    # must not take for a definite mass block
-    for n, m1, m0 in ((4, 0.0, 0.0), (2000, 1e-320 / 3, 1e-320 / 6),
-                      (10**4, 1e-320 / 3, 1e-320 / 6)):
-        mesh = build_uniform(n)
+    # psi = 1e-320 t is definite as a pair, but its bands are subnormal at
+    # n = 1000, round to 0 on the boundary rows at n = 2000 and on every row
+    # at n = 10^4, which the gate must not take for a definite mass block
+    tiny = (1e-320 / 3, 1e-320 / 6)
+    cases = [(build_uniform(4), 0.0, 0.0)]
+    cases += [(mesh, *tiny) for n in (1000, 2000, 10**4)
+              for mesh in (build_uniform(n), random_mesh(n, n))]
+    for mesh, m1, m0 in cases:
         system = SaddleSystem(mesh, m1, m0, project_rhs(mesh, sin_problem().f))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
