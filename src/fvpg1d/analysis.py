@@ -15,8 +15,9 @@ epsilon the reflection defect of ``stability_constants``.  All of it is O(n):
 the flux-balance kernel of the solver, a closed-form check that each Gram
 matrix is positive definite and a short Lanczos run, no (2n + 1)^2 matrix.
 The witness of ``infsup_witness_sup`` reduces the test Gram matrix onto its
-two end nodes by pairwise merges of the cells, in numpy alone and without
-subtracting the 1/h terms that cancel in its bands.
+two end nodes by pairwise merges of the cells, in numpy alone.  Every psi
+quadratic form (these three and ``discrete_norm_q``) reads s +- c and sd -+ cd
+from ``_moment_combinations``, cell by cell: no two 1/h terms are subtracted.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, TriDiagonal, assemble_mass_pg,
-                       cell_gauss_rule, saddle_classical, saddle_pg)
+from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, assemble_mass_pg, cell_gauss_rule,
+                       saddle_classical, saddle_pg)
 from .mesh import Mesh, RegularFamilySpec, build_random_regular, build_uniform
 from .solver import DiscreteSolution, SolverError, flux_balance, solve_fv, solve_mixed
 from .weighting import MomentTable, WeightingFunction, builtin_affine, moments
@@ -244,14 +245,23 @@ def fit_rate(table: ConvergenceTable) -> dict:
 # discrete norms of psi-basis fields
 # ---------------------------------------------------------------------------
 
+def _moment_combinations(m: MomentTable):
+    """s + c, s - c, sd - cd and sd + cd: each a square integral, >= 0 (as
+    s + c = 1/2 int (psi(t) + psi(1 - t))^2), formed once from the table; one
+    of at most 1e-14 (|x| + |y|) is rounding and counts as 0."""
+    pairs = ((m.s, m.c), (m.s, -m.c), (m.sd, -m.cd), (m.sd, m.cd))
+    return tuple(0.0 if abs(x + y) <= 1e-14 * (abs(x) + abs(y)) else x + y for x, y in pairs)
+
+
 def discrete_norm_q(mesh: Mesh, m: MomentTable, coeffs: Sequence[float]):
     """Exact L2 and H1-seminorm of a field in the psi nodal basis.
 
     On each cell the field is q_j psi(1 - t) + q_{j+1} psi(t) in the local
-    coordinate, so the squared norms reduce to the moment table:
+    coordinate, so with q+- = q_j +- q_{j+1} the squared norms reduce to the
+    moment combinations:
 
-        l2^2      = sum_j h_j [ s (q_j^2 + q_{j+1}^2) + 2 c q_j q_{j+1} ]
-        h1_semi^2 = sum_j (1/h_j) [ sd (q_j^2 + q_{j+1}^2) - 2 cd q_j q_{j+1} ]
+        l2^2      = sum_j h_j/2    [ (s + c) q+^2 + (s - c) q-^2 ]
+        h1_semi^2 = sum_j 1/(2h_j) [ (sd - cd) q+^2 + (sd + cd) q-^2 ]
 
     Returns (l2, h1_semi).
     """
@@ -259,11 +269,10 @@ def discrete_norm_q(mesh: Mesh, m: MomentTable, coeffs: Sequence[float]):
     if q.shape != (mesh.n + 1,):
         raise ValueError("need one coefficient per vertex")
     h = mesh.cell_widths
-    ql, qr = q[:-1], q[1:]
-    pair = ql * ql + qr * qr
-    cross = ql * qr
-    l2_sq = float(np.sum(h * (m.s * pair + 2.0 * m.c * cross)))
-    h1_sq = float(np.sum((m.sd * pair - 2.0 * m.cd * cross) / h))
+    plus, minus = np.square(q[:-1] + q[1:]), np.square(q[:-1] - q[1:])
+    sc_plus, sc_minus, sd_minus, sd_plus = _moment_combinations(m)
+    l2_sq = 0.5 * float(np.sum(h * (sc_plus * plus + sc_minus * minus)))
+    h1_sq = 0.5 * float(np.sum((sd_minus * plus + sd_plus * minus) / h))
     return float(np.sqrt(max(l2_sq, 0.0))), float(np.sqrt(max(h1_sq, 0.0)))
 
 
@@ -286,35 +295,15 @@ def _gram_halves(mesh: Mesh, m: MomentTable):
 
         2a = (s + c) h + (sd - cd) / h,    2b = (s - c) h + (sd + cd) / h.
 
-    Each combination x + y is a square integral, >= 0, formed once from the
-    table; one of at most 1e-14 (|x| + |y|) is rounding and counts as 0, so no
-    two 1/h terms are ever subtracted.  The Gram matrix is positive definite
-    exactly when a > 0 and b > 0 on every cell; ValueError otherwise.
+    The Gram matrix is positive definite exactly when a > 0 and b > 0 on every
+    cell; ValueError otherwise.
     """
-    def combination(x, y):
-        v = x + y
-        return 0.0 if abs(v) <= 1e-14 * (abs(x) + abs(y)) else v
-
+    sc_plus, sc_minus, sd_minus, sd_plus = _moment_combinations(m)
     h = mesh.cell_widths
-    a2 = combination(m.s, m.c) * h + combination(m.sd, -m.cd) / h
-    b2 = combination(m.s, -m.c) * h + combination(m.sd, m.cd) / h
+    a2, b2 = sc_plus * h + sd_minus / h, sc_minus * h + sd_plus / h
     if not (np.all(a2 > 0.0) and np.all(b2 > 0.0)):
         raise ValueError(DEGENERATE_GRAM)
     return a2, b2
-
-
-def _nodal_gram(mesh: Mesh, m: MomentTable) -> TriDiagonal:
-    """Graph-norm Gram matrix of the psi nodal functions (the hat functions
-    for the affine table): the per-cell blocks [[cell, off], [off, cell]],
-    cell = s h + sd/h and off = c h - cd/h, summed.
-
-    ``_gram_halves`` (a, b = (cell +- off)/2) checks that it is positive
-    definite and raises ValueError for a degenerate psi.
-    """
-    _gram_halves(mesh, m)
-    h = mesh.cell_widths
-    cell, off = m.s * h + m.sd / h, m.c * h - m.cd / h
-    return TriDiagonal(lower=off, diag=np.append(cell, 0.0) + np.append(0.0, cell), upper=off)
 
 
 def _largest_eigenvalue(apply_op: Callable, gram: Callable, start: np.ndarray) -> float:
@@ -347,16 +336,26 @@ def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
     delta_T = 1/sqrt(theta), theta the largest eigenvalue of G^{-1} G2 G^{-t} G1
     for the coupling matrix G and the trial and test Gram matrices G1, G2.
     Interleaved, G is the symmetric pg saddle matrix: ``flux_balance`` applies
-    G^{-1} = G^{-t}, and 1^t M 1 = 0 makes G singular and delta_T = 0.
+    G^{-1} = G^{-t}, and 1^t M 1 = 0 makes G singular and delta_T = 0.  The
+    nodal block of each Gram matrix is applied cell by cell from the a and b
+    of ``_gram_halves``, as a (x_l + x_r) and b (x_l - x_r) scattered to both
+    nodes, so the lowest mode keeps its digits at any n.
     """
-    T2 = _nodal_gram(mesh, m)
-    T1 = _nodal_gram(mesh, moments(builtin_affine()))
+    test = [0.5 * x for x in _gram_halves(mesh, m)]  # a and b of every cell
+    trial = [0.5 * x for x in _gram_halves(mesh, moments(builtin_affine()))]
+    h = mesh.cell_widths
     M = assemble_mass_pg(mesh, m)
     r = M.row_sums()
 
-    def gram(T, x):  # blockdiag(T, diag(h)), interleaved
-        y = np.empty_like(x)
-        y[0::2], y[1::2] = T.matvec(x[0::2]), mesh.cell_widths * x[1::2]
+    def gram(halves, x):  # blockdiag(T, diag(h)), interleaved, T from its halves a and b
+        (a, b), y, xl, xr = halves, np.empty_like(x), x[0:-1:2], x[2::2]
+        s, d = xl + xr, xl - xr
+        s *= a
+        d *= b
+        np.add(s, d, out=y[0:-1:2])
+        y[-1] = 0.0
+        y[2::2] += s - d
+        np.multiply(h, x[1::2], out=y[1::2])
         return y
 
     def solve(x):  # G^{-1} x = G^{-t} x, interleaved
@@ -365,8 +364,8 @@ def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
         return y
 
     theta = (np.inf if r.sum() == 0.0 else
-             _largest_eigenvalue(lambda g1x: solve(gram(T2, solve(g1x))),
-                                 lambda x: gram(T1, x), np.ones(2 * mesh.n + 1)))
+             _largest_eigenvalue(lambda g1x: solve(gram(test, solve(g1x))),
+                                 lambda x: gram(trial, x), np.ones(2 * mesh.n + 1)))
     return InfSupReport(mesh.n, float(1.0 / np.sqrt(theta)), psi_id, mesh_id)
 
 

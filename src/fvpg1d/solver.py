@@ -114,7 +114,7 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
 
     Raises SolverError on non-finite input, a singular mass block, a Schur
     complement B M^{-1} B^t that is not positive definite, or a block
-    residual above 1e-10 relative.
+    residual above 1e-10 relative to max(1, max|f|, max|u|), as u sums M p.
     """
     f_cells = system.rhs_cells
     _require_finite("mass block", system.m1, system.m0)
@@ -125,7 +125,7 @@ def solve_mixed(system: SaddleSystem) -> DiscreteSolution:
     solution = DiscreteSolution(u_cells=u, p_nodes=p, mesh=system.mesh,
                                 scheme=system.label or "mixed")
     res = residual(system, solution)
-    scale = max(1.0, float(np.abs(f_cells).max()))
+    scale = max(1.0, float(np.abs(f_cells).max()), float(np.abs(u).max()))
     if not np.isfinite(res) or res > RESIDUAL_RTOL * scale:
         raise SolverError(f"block residual {res:.3e} exceeds {RESIDUAL_RTOL:.0e} relative")
     return solution

@@ -13,6 +13,8 @@ Nothing in here imports from the package under test.  Six tools:
   the witness supremum from the same matrices;
 * the witness supremum by sequential elimination in extended precision, and
   in closed form on uniform meshes;
+* the inf-sup constant in closed form on uniform meshes and its limit as
+  n -> infinity, for reflection-compatible psi, from exact moments;
 * dense tests of whether the Schur complement of a mixed system and the
   nodal graph-norm Gram matrix are positive definite, and a dense copy of a
   tridiagonal band container;
@@ -272,6 +274,52 @@ def uniform_witness_sup(n, m):
     sigma = (m.s + m.c) * h + (m.sd - m.cd) / h
     kappa = 2.0 * np.arcsinh(np.sqrt(sigma / (2.0 * g)))
     return float(np.sqrt(2.0 * np.tanh(0.5 * kappa * n) / (g * np.sinh(kappa))))
+
+
+def _exact_combinations(coeffs):
+    """s + c, c, sd - cd, cd, m1, m0 and m_psi of psi, each formed in exact
+    arithmetic and rounded once (the float table's sd - cd is rounding)."""
+    e = psi_moments_exact(coeffs)
+    return tuple(float(x) for x in (e["s"] + e["c"], e["c"], e["sd"] - e["cd"], e["cd"],
+                                    e["m1"], e["m0"], e["m_psi"]))
+
+
+def uniform_infsup(n, coeffs):
+    """delta_T on the uniform mesh with n cells in closed form, for psi with
+    psi(t) + psi(1 - t) = 1 given by its coefficients.
+
+    The lowest cosine/sine pair diagonalizes every uniform-mesh operator.  With
+    h = 1/n and theta = pi/n, the Gram symbols are
+    T_k = 2h (s_k + c_k cos theta) + (2/h) ((sd_k - cd_k) + 2 cd_k sin^2(theta/2))
+    for the affine trial table (k = 1) and psi (k = 2), the coupling reads
+    mu = 2h (m1 + m0 cos theta) and b = e^{i theta} - 1, and delta_T is the
+    smallest singular value of
+    diag(T2, h)^{-1/2} [[mu, conj(b)], [b, 0]] diag(T1, h)^{-1/2}."""
+    h, theta = 1.0 / n, np.pi / n
+    sin2 = np.sin(0.5 * theta) ** 2
+
+    def symbol(sc, c, sd_minus, cd):  # s + c cos(theta) = (s + c) - 2 c sin^2(theta/2)
+        return 2.0 * h * (sc - 2.0 * c * sin2) + (2.0 / h) * (sd_minus + 2.0 * cd * sin2)
+
+    trial, test = _exact_combinations([0, 1]), _exact_combinations(coeffs)
+    T1, T2 = symbol(*trial[:4]), symbol(*test[:4])
+    mu = 2.0 * h * (test[4] + test[5] * np.cos(theta))
+    b = np.exp(1j * theta) - 1.0
+    A = np.array([[mu / np.sqrt(T1 * T2), np.conj(b) / np.sqrt(T2 * h)],
+                  [b / np.sqrt(h * T1), 0.0]])
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
+
+
+def infsup_limit(coeffs):
+    """lim delta_T as n -> infinity, for psi with psi(t) + psi(1 - t) = 1: the
+    smallest singular value of
+    [[2 m_psi / sqrt(tau1 tau2), -i pi / sqrt(tau2)], [i pi / sqrt(tau1), 0]],
+    tau_k = 2 (s_k + c_k) + cd_k pi^2 (tau1 = 1 + pi^2 for the affine trial)."""
+    trial, test = _exact_combinations([0, 1]), _exact_combinations(coeffs)
+    tau1, tau2 = (2.0 * t[0] + t[3] * np.pi ** 2 for t in (trial, test))
+    A = np.array([[2.0 * test[6] / np.sqrt(tau1 * tau2), -1j * np.pi / np.sqrt(tau2)],
+                  [1j * np.pi / np.sqrt(tau1), 0.0]])
+    return float(np.linalg.svd(A, compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------

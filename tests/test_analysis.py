@@ -19,8 +19,9 @@ from fvpg1d import (ConvergenceTable, ErrorReport, ManufacturedProblem, MomentTa
                     quadratic_problem, run_scheme, sin_problem,
                     stability_constants, solve_fv, zero_problem)
 
-from oracles import (dense_infsup, dense_witness_sup, gram_is_pd, longdouble_witness_sup,
-                     simpson, squared_errors, uniform_witness_sup)
+from oracles import (dense_infsup, dense_witness_sup, gram_is_pd, infsup_limit,
+                     longdouble_witness_sup, psi_moments_exact, simpson, squared_errors,
+                     uniform_infsup, uniform_witness_sup)
 
 
 def random_mesh(n, seed):
@@ -246,6 +247,21 @@ def test_discrete_norm_constant_field_h1():
     assert abs(h1_pert - kappa * n * np.sqrt(2.0 * eps)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["affine", "spline"])
+def test_discrete_norm_h1_keeps_digits_at_large_n(name):
+    # under the reflection identity the seminorm is sqrt((sd + cd)/2) times the
+    # P1 one; summing sd (q_j^2 + q_{j+1}^2) - 2 cd q_j q_{j+1} instead loses
+    # 7.3e-9 (affine) and 2.6e-8 (spline) here to cancelling 1/h terms
+    mesh = build_uniform(2 ** 20)
+    q = np.sin(np.pi * mesh.vertices)
+    psi = {"affine": builtin_affine, "spline": builtin_spline}[name]()
+    exact = psi_moments_exact(psi.coefficients)
+    ref = np.sqrt(float((exact["sd"] + exact["cd"]) / 2)
+                  * np.sum(np.diff(q) ** 2 / mesh.cell_widths))
+    _, h1 = discrete_norm_q(mesh, moments(psi), q)
+    assert abs(h1 - ref) <= 1e-13 * ref
+
+
 @settings(max_examples=40)
 @given(
     n=st.integers(min_value=1, max_value=30),
@@ -389,7 +405,39 @@ def test_infsup_perturbed_law_at_large_n():
     n = 2 ** 14
     eps = stability_constants(m).epsilon
     delta = infsup_constant(build_uniform(n), m).delta_T
-    assert abs(delta * n * np.sqrt(2.0 * eps) - 1.0) <= 1e-5
+    assert abs(delta * n * np.sqrt(2.0 * eps) - 1.0) <= 1e-8
+
+
+# psi = t + a t(1 - t)(1 - 2t): reflection-compatible, with m0 != 0
+COMPATIBLE_PSI = {"spline": list(builtin_spline().coefficients), "affine": [0.0, 1.0]}
+for _a in (0.7, -1.5, 3.0):
+    COMPATIBLE_PSI[f"a={_a:g}"] = [0.0, 1.0 + _a, -3.0 * _a, 2.0 * _a]
+
+
+@pytest.mark.parametrize("name", sorted(COMPATIBLE_PSI))
+def test_infsup_matches_uniform_closed_form(name):
+    # the Gram blocks applied cell by cell keep the lowest mode's digits; their
+    # bands s h + sd/h and c h - cd/h lose up to 4.6e-7 (a = 0.7) at n = 10^5
+    coeffs = COMPATIBLE_PSI[name]
+    m = moments(fvpg1d.WeightingFunction.from_coefficients(coeffs))
+    for n in (1, 2, 3, 4, 8, 33, 256, 4096, 10 ** 5):
+        ref = uniform_infsup(n, coeffs)
+        assert abs(infsup_constant(build_uniform(n), m).delta_T - ref) <= 1e-12 * ref, n
+
+
+@pytest.mark.parametrize("name, limit", [("spline", 0.21763750890), ("affine", 0.90800033165),
+                                         ("a=0.7", 0.88569439931)])
+def test_infsup_limit_and_second_order_law(name, limit):
+    # delta_T / delta_inf - 1 falls like n^-2: its constant (-0.0176 spline,
+    # 0.0757 affine, 0.0804 for a = 0.7) is held within 1 % from n = 512 to
+    # 32768, where delta_T itself sits 1.6e-11 from its limit for spline
+    coeffs = COMPATIBLE_PSI[name]
+    delta_inf = infsup_limit(coeffs)
+    assert abs(delta_inf - limit) <= 1e-11
+    m = moments(fvpg1d.WeightingFunction.from_coefficients(coeffs))
+    law = [(infsup_constant(build_uniform(n), m).delta_T / delta_inf - 1.0) * n * n
+           for n in (512, 4096, 32768)]
+    assert all(abs(k / law[0] - 1.0) <= 1e-2 for k in law), law
 
 
 def test_infsup_leaves_scipy_sparse_unimported(tmp_path):
@@ -460,7 +508,7 @@ def test_gram_definiteness_matches_dense_cholesky():
         for n in (1, 2, 3, 8, 64, 257):
             for mesh in (build_uniform(n), build_random_regular(RegularFamilySpec(0.1, 5.0, n, n))):
                 try:
-                    fvpg1d.analysis._nodal_gram(mesh, m)
+                    fvpg1d.analysis._gram_halves(mesh, m)
                     closed_form = True
                 except ValueError as exc:
                     assert str(exc) == fvpg1d.analysis.DEGENERATE_GRAM
@@ -472,7 +520,7 @@ def test_gram_definiteness_matches_dense_cholesky():
     # min(a, b) is 4e-14 of the terms forming it, 200 times the rounding
     near = moments(fvpg1d.WeightingFunction.from_coefficients([1.0, -2.0, 1e-6]))
     for n in (1, 64, 4096):
-        fvpg1d.analysis._nodal_gram(build_uniform(n), near)
+        fvpg1d.analysis._gram_halves(build_uniform(n), near)
 
 
 def test_gram_accepts_stable_psi_at_large_n():
@@ -482,7 +530,7 @@ def test_gram_accepts_stable_psi_at_large_n():
     for n in (2 ** 20, 2 ** 22):
         for mesh in (build_uniform(n), build_random_regular(RegularFamilySpec(0.5, 2.0, n, 3))):
             for m in tables:
-                fvpg1d.analysis._nodal_gram(mesh, m)
+                fvpg1d.analysis._gram_halves(mesh, m)
 
 
 # ---------------------------------------------------------------------------

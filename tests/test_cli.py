@@ -231,6 +231,13 @@ def test_solve_compare_holds_at_large_n(n, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_large_psi_exits_0(tmp_path, capsys):
+    # u scales with psi (here 1e100): the block residual is measured against it
+    argv = ["solve", "--scheme", "pg", "--psi", "poly:1e100,1e100", "--n", "8"]
+    assert run(argv + ["-o", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_outdir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
     assert run(["solve", "--n", "4"]) == 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import fvpg1d
 from fvpg1d import (DiscreteSolution, MomentTable, RegularFamilySpec,
                     SaddleSystem, SolverError, TriDiagonal, assemble_fv,
                     build_random_regular,
@@ -137,6 +138,44 @@ def test_mixed_rejects_indefinite_schur():
     system = SaddleSystem(mesh, -1.0 / 3.0, -1.0 / 6.0, project_rhs(mesh, sin_problem().f))
     with pytest.raises(SolverError, match="not positive definite"):
         solve_mixed(system)
+
+
+# psi = factor * unit: M and u scale with the factor, p does not, and the
+# rounding of M p - u grows with max|u|, far beyond max(1, max|f|)
+SCALED_PSI = {"spline": (builtin_spline().coefficients, 1.0, 8),
+              "poly:1e100,1e100": ((1.0, 1.0), 1e100, 8),
+              "1e10 spline": (builtin_spline().coefficients, 1e10, 1000)}
+
+
+def scaled_pg(name, factor=None):
+    unit, scale, n = SCALED_PSI[name]
+    psi = fvpg1d.WeightingFunction.from_coefficients(
+        [(scale if factor is None else factor) * c for c in unit])
+    return saddle_pg(build_uniform(n), moments(psi), sin_problem().f)
+
+
+@pytest.mark.parametrize("name", ["1e10 spline", "poly:1e100,1e100"])
+def test_mixed_accepts_large_psi(name):
+    sol, ref = solve_mixed(scaled_pg(name)), solve_mixed(scaled_pg(name, 1.0))
+    np.testing.assert_allclose(sol.p_nodes, ref.p_nodes, rtol=0, atol=1e-12)
+    u_max = np.abs(ref.u_cells).max()
+    np.testing.assert_allclose(sol.u_cells / SCALED_PSI[name][1], ref.u_cells,
+                               rtol=0, atol=1e-12 * u_max)
+
+
+@pytest.mark.parametrize("name", sorted(SCALED_PSI))
+def test_mixed_rejects_perturbed_flux_balance(name, monkeypatch):
+    # the residual's scale grows with max|u|: a wrong u must still fail it
+    exact = fvpg1d.solver.flux_balance
+
+    def perturbed(*args):
+        p, u = exact(*args)
+        u[u.size // 2] += 1e-8 * max(1.0, np.abs(u).max())
+        return p, u
+
+    monkeypatch.setattr(fvpg1d.solver, "flux_balance", perturbed)
+    with pytest.raises(SolverError, match="block residual"):
+        solve_mixed(scaled_pg(name))
 
 
 def test_schur_gate_matches_dense_oracle():
