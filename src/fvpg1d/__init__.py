@@ -16,8 +16,7 @@ from .weighting import (ConditionReport, MomentTable, StabilityConstants,
                         check_fv_compat, check_interp_compat, check_localization,
                         check_orthogonality, condition_report, design_cubic,
                         moments, perturbed_family, stability_constants)
-from .assembly import (SaddleSystem, SourceFunction, TriDiagonal, assemble_div,
-                       assemble_fv, assemble_mass_pg,
+from .assembly import (SaddleSystem, SourceFunction, assemble_fv, assemble_mass_pg,
                        gauss_legendre, project_rhs, saddle_classical, saddle_pg)
 from .solver import DiscreteSolution, SolverError, residual, solve_fv, solve_mixed
 from .analysis import (ConvergenceTable, ErrorReport, InfSupReport,
@@ -37,8 +36,7 @@ __all__ = [
     "check_localization", "check_orthogonality", "check_fv_compat",
     "check_interp_compat", "builtin_affine", "builtin_spline", "design_cubic",
     "perturbed_family",
-    "TriDiagonal", "SourceFunction", "SaddleSystem", "assemble_mass_pg",
-    "assemble_div", "project_rhs", "assemble_fv",
+    "SourceFunction", "SaddleSystem", "assemble_mass_pg", "project_rhs", "assemble_fv",
     "saddle_classical", "saddle_pg",
     "SolverError", "DiscreteSolution", "solve_fv", "solve_mixed", "residual",
     "ManufacturedProblem", "ErrorReport", "ConvergenceTable", "InfSupReport",

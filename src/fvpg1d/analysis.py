@@ -27,10 +27,11 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, assemble_mass_pg, cell_gauss_rule,
-                       saddle_classical, saddle_pg)
+from .assembly import (DEFAULT_QUAD_ORDER, SourceFunction, cell_gauss_rule, saddle_classical,
+                       saddle_pg)
 from .mesh import Mesh, RegularFamilySpec, build_random_regular, build_uniform
-from .solver import DiscreteSolution, SolverError, flux_balance, solve_fv, solve_mixed
+from .solver import (SINGULAR_RTOL, DiscreteSolution, SolverError, flux_balance, solve_fv,
+                     solve_mixed)
 from .weighting import MomentTable, WeightingFunction, builtin_affine, moments
 
 __all__ = [
@@ -336,7 +337,8 @@ def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
     delta_T = 1/sqrt(theta), theta the largest eigenvalue of G^{-1} G2 G^{-t} G1
     for the coupling matrix G and the trial and test Gram matrices G1, G2.
     Interleaved, G is the symmetric pg saddle matrix: ``flux_balance`` applies
-    G^{-1} = G^{-t}, and 1^t M 1 = 0 makes G singular and delta_T = 0.  The
+    G^{-1} = G^{-t}.  G is singular, and delta_T = 0, when m_psi = m1 + m0 = 0,
+    which a sum within 1e-12 (|m1| + |m0|) is taken to be.  The
     nodal block of each Gram matrix is applied cell by cell from the a and b
     of ``_gram_halves``, as a (x_l + x_r) and b (x_l - x_r) scattered to both
     nodes, so the lowest mode keeps its digits at any n.
@@ -344,8 +346,6 @@ def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
     test = [0.5 * x for x in _gram_halves(mesh, m)]  # a and b of every cell
     trial = [0.5 * x for x in _gram_halves(mesh, moments(builtin_affine()))]
     h = mesh.cell_widths
-    M = assemble_mass_pg(mesh, m)
-    r = M.row_sums()
 
     def gram(halves, x):  # blockdiag(T, diag(h)), interleaved, T from its halves a and b
         (a, b), y, xl, xr = halves, np.empty_like(x), x[0:-1:2], x[2::2]
@@ -360,10 +360,10 @@ def infsup_constant(mesh: Mesh, m: MomentTable, psi_id: str = "",
 
     def solve(x):  # G^{-1} x = G^{-t} x, interleaved
         y = np.empty_like(x)
-        y[0::2], y[1::2] = flux_balance(M.matvec, r, x[1::2], x[0::2])
+        y[0::2], y[1::2] = flux_balance(mesh, m.m1, m.m0, x[1::2], x[0::2])
         return y
 
-    theta = (np.inf if r.sum() == 0.0 else
+    theta = (np.inf if abs(m.m1 + m.m0) <= SINGULAR_RTOL * (abs(m.m1) + abs(m.m0)) else
              _largest_eigenvalue(lambda g1x: solve(gram(test, solve(g1x))),
                                  lambda x: gram(trial, x), np.ones(2 * mesh.n + 1)))
     return InfSupReport(mesh.n, float(1.0 / np.sqrt(theta)), psi_id, mesh_id)

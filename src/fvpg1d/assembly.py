@@ -5,8 +5,8 @@ value per vertex for the gradient p.  The classical mixed scheme tests the
 gradient equation with hat functions, the Petrov-Galerkin scheme with the
 psi-generated nodal functions, and the heuristic finite-volume scheme is what
 remains after eliminating p with the dual-width difference quotient.  Each
-test space gives a mass block fixed by two moments (m1, m0), so a saddle
-system stores that pair and builds the bands on demand.
+test space gives a mass block fixed by two moments (m1, m0): a saddle system
+stores that pair, and ``TriDiagonal`` bands are a read-only record of it.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
     "SourceFunction",
     "SaddleSystem",
     "assemble_mass_pg",
-    "assemble_div",
     "project_rhs",
     "assemble_fv",
     "saddle_classical",
@@ -40,7 +39,7 @@ MAX_QUAD_ORDER = 32
 
 @dataclass(frozen=True)
 class TriDiagonal:
-    """Banded storage of a tridiagonal m x m matrix.
+    """Read-only banded record of a tridiagonal m x m matrix; no arithmetic.
 
     ``diag`` has length m, ``lower``/``upper`` length m - 1 (entry (j+1, j)
     resp. (j, j+1)).
@@ -51,29 +50,13 @@ class TriDiagonal:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        diag = np.asarray(self.diag, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
+        lower, diag, upper = (np.array(a, dtype=float) for a in (self.lower, self.diag, self.upper))
         m = diag.size
         if m < 1 or lower.size != m - 1 or upper.size != m - 1:
             raise ValueError("band lengths must be (m-1, m, m-1)")
         for name, arr in (("lower", lower), ("diag", diag), ("upper", upper)):
-            arr = np.array(arr, copy=True)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = self.diag * x
-        y[1:] += self.lower * x[:-1]
-        y[:-1] += self.upper * x[1:]
-        return y
-
-    def row_sums(self) -> np.ndarray:
-        y = self.diag.copy()
-        y[1:] += self.lower
-        y[:-1] += self.upper
-        return y
 
 
 def gauss_legendre(order: int):
@@ -134,16 +117,6 @@ def assemble_mass_pg(mesh: Mesh, m: MomentTable) -> TriDiagonal:
     return TriDiagonal(lower=off, diag=2.0 * m.m1 * mesh.dual_widths, upper=off)
 
 
-def assemble_div(mesh: Mesh) -> np.ndarray:
-    """Divergence of nodal fields tested against cell indicators, as two bands.
-
-    Column l holds the coefficients (-1, +1) of (p_l, p_{l+1}) in cell l: the
-    integral of the derivative of a nodal basis function over the cell, the
-    same for hat and for localized psi test functions.
-    """
-    return np.vstack((np.full(mesh.n, -1.0), np.ones(mesh.n)))
-
-
 def project_rhs(mesh: Mesh, f: Union[SourceFunction, Callable],
                 quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
     """Cell integrals of the source term."""
@@ -178,7 +151,7 @@ class SaddleSystem:
     The mass block is fixed by a pair of moments,
     M(m1, m0) = 2 m1 diag(dual widths) + m0 offdiag(cell widths): fv is
     (1/2, 0), classical (1/3, 1/6) and pg the (m1, m0) of psi.  B is the
-    (-1, +1) divergence of ``assemble_div``, the same for every scheme.
+    divergence, (-1, +1) on (p_l, p_{l+1}) in cell l for hat and psi test functions.
     """
 
     mesh: Mesh
@@ -191,14 +164,14 @@ class SaddleSystem:
         if self.rhs_cells.shape != (self.mesh.n,):
             raise ValueError("rhs must have one entry per cell")
 
-    # derived from the pair; div_matrix stays only for bench/workloads.py's byte count
+    # band records derived from the pair, read by the benchmark's byte count only
     @cached_property
     def mass(self) -> TriDiagonal:
         return assemble_mass_pg(self.mesh, self)
 
     @property
-    def div_matrix(self) -> np.ndarray:
-        return assemble_div(self.mesh)
+    def div_matrix(self) -> np.ndarray:  # B as two bands, shape (2, n)
+        return np.vstack((np.full(self.mesh.n, -1.0), np.ones(self.mesh.n)))
 
 
 def saddle_classical(mesh: Mesh, f: Union[SourceFunction, Callable],

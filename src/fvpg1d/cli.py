@@ -254,6 +254,8 @@ def cmd_infsup(args) -> int:
     reports = infsup_sweep(psi, n_values, family=args.mesh, alpha=args.alpha,
                            beta=args.beta, seed=args.seed)
     deltas = np.array([r.delta_T for r in reports])
+    if deltas.min() == 0.0:  # m_psi = 0 makes it 0 at every n: no ratio, no slope
+        raise SolverError(f"coupling is singular for psi={psi.label} (m_psi = 0): delta_T = 0")
     ratio = float(deltas[-1] / deltas[0])
     slope = loglog_slope([r.n for r in reports], deltas)
 

@@ -102,7 +102,8 @@ def build_random_regular(spec: RegularFamilySpec) -> Mesh:
 
     Widths are sampled i.i.d. uniformly in [alpha/n, beta/n], rescaled to unit
     sum, and clipped back into the band until both constraints hold; the last
-    rounding residual is absorbed by the width with the most slack.
+    rounding residual is absorbed by the width with the most slack.  The
+    vertices are their prefix sums, repaired only if their rounding leaves the band.
     """
     lo = spec.alpha / spec.n
     hi = spec.beta / spec.n
@@ -116,11 +117,23 @@ def build_random_regular(spec: RegularFamilySpec) -> Mesh:
     if r != 0.0:
         k = int(np.argmax(hi - w)) if r > 0.0 else int(np.argmax(w - lo))
         w[k] += r
-    if w.min() < lo * (1.0 - _BAND_SLACK) or w.max() > hi * (1.0 + _BAND_SLACK):
-        raise RuntimeError("width projection failed to reach the regularity band")
     vertices = np.concatenate(([0.0], np.cumsum(w)))
     vertices[-1] = 1.0
+    if not _in_band(np.diff(vertices), lo, hi):
+        # each prefix sum rounds by < 1 ulp of 1: pull every width 4 ulps inside
+        # the band and move the drift of the sums onto the cell with the most slack
+        w = np.clip(w, lo + 4.0 * np.finfo(float).eps, hi - 4.0 * np.finfo(float).eps)
+        vertices = np.concatenate(([0.0], np.cumsum(w)))
+        drift = 1.0 - vertices[-1]
+        vertices[1 + int(np.argmax(hi - w) if drift > 0.0 else np.argmax(w - lo)):] += drift
+        vertices[-1] = 1.0
+        if not _in_band(np.diff(vertices), lo, hi):
+            raise RuntimeError("mesh widths failed to reach the regularity band")
     return Mesh(vertices)
+
+
+def _in_band(w: np.ndarray, lo: float, hi: float) -> bool:
+    return bool(w.min() >= lo * (1.0 - _BAND_SLACK) and w.max() <= hi * (1.0 + _BAND_SLACK))
 
 
 def validate_regular(mesh: Mesh, alpha: float, beta: float) -> bool:
@@ -131,7 +144,4 @@ def validate_regular(mesh: Mesh, alpha: float, beta: float) -> bool:
     """
     if not (0.0 < alpha < 1.0 < beta < np.inf):
         raise ValueError("need 0 < alpha < 1 < beta < inf")
-    lo = alpha / mesh.n
-    hi = beta / mesh.n
-    w = mesh.cell_widths
-    return bool(w.min() >= lo * (1.0 - _BAND_SLACK) and w.max() <= hi * (1.0 + _BAND_SLACK))
+    return _in_band(mesh.cell_widths, alpha / mesh.n, beta / mesh.n)

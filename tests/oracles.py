@@ -1,6 +1,6 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing in here imports from the package under test.  Six tools:
+Nothing in here imports from the package under test.  The tools:
 
 * exact polynomial calculus over ``fractions.Fraction`` (integration of the
   weighting-function moments without any floating-point rounding);
@@ -16,10 +16,12 @@ Nothing in here imports from the package under test.  Six tools:
 * the inf-sup constant in closed form on uniform meshes and its limit as
   n -> infinity, for reflection-compatible psi, from exact moments;
 * dense tests of whether the Schur complement of a mixed system and the
-  nodal graph-norm Gram matrix are positive definite, and a dense copy of a
-  tridiagonal band container;
+  nodal graph-norm Gram matrix are positive definite, a dense copy of a
+  tridiagonal band container and a banded product with it;
 * the three squared error integrals written as one expression each, with
-  every (n, order) temporary alive, as the package first computed them.
+  every (n, order) temporary alive, as the package first computed them;
+* the nodal gradient that every scheme returns for exact cell loads, in
+  closed form from the exact gradient.
 """
 
 from fractions import Fraction
@@ -331,6 +333,14 @@ def dense_tridiagonal(T):
     return np.diag(T.diag) + np.diag(T.lower, k=-1) + np.diag(T.upper, k=1)
 
 
+def band_matvec(lower, diag, upper, x):
+    """The tridiagonal matrix with these bands times x, with no dense matrix."""
+    y = diag * x
+    y[1:] += lower * x[:-1]
+    y[:-1] += upper * x[1:]
+    return y
+
+
 def schur_is_pd(M_dense):
     """Whether B M^{-1} B^t is positive definite for the (n+1) x (n+1) mass M.
 
@@ -385,3 +395,22 @@ def squared_errors(vertices, u_cells, p_nodes, u_exact, p_exact, f, order):
     dp = at(p_exact) - p_lin
     ddiv = -at(f) - (np.diff(p_nodes) / h)[:, None]
     return tuple(float(np.sum((d * d @ w) * h)) for d in (du, dp, ddiv))
+
+
+# ---------------------------------------------------------------------------
+# closed-form discrete gradient
+# ---------------------------------------------------------------------------
+
+def nodal_gradient(mesh, p_exact):
+    """The vertex gradient of every scheme for exact cell loads.
+
+    The cell rows make p_j - p_0 = -int_0^{x_j} f = u'(x_j) - u'(0), and the
+    last gradient row makes the dual-width mean of p vanish, so
+    p_j = u'(x_j) - sum_k w_k u'(x_k) / sum_k w_k: the exact gradient minus
+    its trapezoid mean.  Only ``mesh.vertices`` is read.
+    """
+    v = np.asarray(mesh.vertices, dtype=float)
+    h = np.diff(v)
+    w = 0.5 * (np.append(h, 0.0) + np.append(0.0, h))
+    q = np.asarray(p_exact(v), dtype=float)
+    return q - (w @ q) / w.sum()

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,18 @@ def test_infsup_singular_coupling_is_zero():
     assert infsup_constant(build_uniform(4), table).delta_T == 0.0
 
 
+def test_infsup_rounded_singular_coupling_is_zero():
+    # psi = t - 1.5 t^2 has m_psi = 0 exactly, but m1 + m0 rounds to -5.6e-17;
+    # within 1e-12 (|m1| + |m0|) of zero the coupling counts as singular
+    m = moments(fvpg1d.WeightingFunction.from_coefficients([0.0, 1.0, -1.5]))
+    assert m.m1 + m.m0 != 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (4, 8, 64):
+            assert infsup_constant(build_uniform(n), m).delta_T == 0.0
+            assert infsup_constant(random_mesh(n, n), m).delta_T == 0.0
+
+
 def test_infsup_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(fvpg1d.analysis, "INFSUP_MAXITER", 3)
     with pytest.raises(SolverError, match="did not converge"):
@@ -460,6 +473,22 @@ def test_infsup_leaves_scipy_sparse_unimported(tmp_path):
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+def test_solver_and_estimator_never_read_mass_bands():
+    # both read the mass block as (mesh, m1, m0): no band record, no band
+    # product and no float row sums, so no arithmetic drifts back onto them
+    banned = {"TriDiagonal", "assemble_mass_pg", "mass", "matvec", "row_sums"}
+    found = []
+    for name in ("solver.py", "analysis.py"):
+        path = Path(fvpg1d.__file__).resolve().parent / name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = (node.id if isinstance(node, ast.Name) else
+                     node.attr if isinstance(node, ast.Attribute) else
+                     node.name if isinstance(node, ast.alias) else None)
+            if names in banned:
+                found.append(f"{name}:{getattr(node, 'lineno', '?')} {names}")
+    assert not found, found
 
 
 def test_package_never_imports_scipy_linalg_or_sparse():

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fvpg1d import (Mesh, RegularFamilySpec, SaddleSystem, SourceFunction,
-                    TriDiagonal, assemble_div, assemble_fv, assemble_mass_pg,
+                    assemble_fv, assemble_mass_pg,
                     build_random_regular, build_uniform, builtin_affine,
                     builtin_spline, moments, perturbed_family, project_rhs,
                     saddle_classical, sin_problem)
+from fvpg1d.assembly import TriDiagonal
+from fvpg1d.solver import apply_mass
 
 from oracles import dense_tridiagonal, simpson
 
@@ -16,18 +18,22 @@ def random_mesh(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# TriDiagonal container
+# TriDiagonal band record
 # ---------------------------------------------------------------------------
 
 def test_tridiagonal_roundtrip():
+    # the record keeps read-only copies of its bands, which the dense copy puts back
     rng = np.random.default_rng(0)
     m = 7
-    T = TriDiagonal(lower=rng.normal(size=m - 1), diag=rng.normal(size=m),
-                    upper=rng.normal(size=m - 1))
+    bands = (rng.normal(size=m - 1), rng.normal(size=m), rng.normal(size=m - 1))
+    T = TriDiagonal(*bands)
     dense = dense_tridiagonal(T)
-    x = rng.normal(size=m)
-    np.testing.assert_allclose(T.matvec(x), dense @ x, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(T.row_sums(), dense.sum(axis=1), rtol=0, atol=1e-14)
+    for k, band in zip((-1, 0, 1), bands):
+        np.testing.assert_array_equal(np.diag(dense, k), band)
+    bands[1][0] += 1.0
+    assert T.diag[0] == dense[0, 0]
+    with pytest.raises(ValueError):
+        T.diag[0] = 0.0
 
 
 def test_tridiagonal_band_length_validation():
@@ -40,7 +46,6 @@ def test_tridiagonal_band_length_validation():
 def test_tridiagonal_single_entry():
     T = TriDiagonal(lower=np.zeros(0), diag=np.array([3.0]), upper=np.zeros(0))
     np.testing.assert_array_equal(dense_tridiagonal(T), [[3.0]])
-    np.testing.assert_array_equal(T.matvec(np.array([2.0])), [6.0])
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,8 @@ def test_classical_mass_structure():
     np.testing.assert_array_equal(M.lower, (1.0 / 6.0) * mesh.cell_widths)
     np.testing.assert_array_equal(M.lower, M.upper)
     # row sums collapse to the dual widths
-    np.testing.assert_allclose(M.row_sums(), mesh.dual_widths, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(dense_tridiagonal(M).sum(axis=1), mesh.dual_widths,
+                               rtol=0, atol=1e-15)
     # symmetric positive definite
     eigs = np.linalg.eigvalsh(dense_tridiagonal(M))
     assert eigs.min() > 0.0
@@ -141,10 +147,25 @@ def test_property_pg_mass_row_sums(coeffs, n, seed):
     from fvpg1d import WeightingFunction
     mesh = random_mesh(n, seed)
     m = moments(WeightingFunction.from_coefficients(coeffs))
-    M = assemble_mass_pg(mesh, m)
+    row_sums = apply_mass(mesh, m.m1, m.m0, np.ones(n + 1))
     scale = 1.0 + abs(m.m_psi)
-    np.testing.assert_allclose(M.row_sums(), 2.0 * m.m_psi * mesh.dual_widths,
+    np.testing.assert_allclose(row_sums, 2.0 * m.m_psi * mesh.dual_widths,
                                rtol=0, atol=1e-13 * scale)
+
+
+@pytest.mark.parametrize("m1, m0", [(1.0 / 3.0, 1.0 / 6.0), (0.5, 0.0), (-0.3, 0.7)])
+def test_apply_mass_matches_dense_bands(m1, m0):
+    # the product the solver uses is the band record's matrix; with m0 = 0 it
+    # is the diagonal band times x bit for bit
+    rng = np.random.default_rng(1)
+    for n in (1, 2, 9):
+        mesh = random_mesh(n, n)
+        T = assemble_mass_pg(mesh, SaddleSystem(mesh, m1, m0, np.zeros(n)))
+        x = rng.normal(size=n + 1)
+        np.testing.assert_allclose(apply_mass(mesh, m1, m0, x), dense_tridiagonal(T) @ x,
+                                   rtol=0, atol=1e-15)
+        if m0 == 0.0:
+            np.testing.assert_array_equal(apply_mass(mesh, m1, m0, x), T.diag * x)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +175,7 @@ def test_property_pg_mass_row_sums(coeffs, n, seed):
 def test_divergence_matrix():
     # the two bands of B = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]]
     mesh = build_uniform(3)
-    D = assemble_div(mesh)
+    D = SaddleSystem(mesh, 1.0 / 3.0, 1.0 / 6.0, np.zeros(mesh.n)).div_matrix
     expected = np.array([[-1.0, -1.0, -1.0],
                          [1.0, 1.0, 1.0]])
     np.testing.assert_array_equal(D, expected)

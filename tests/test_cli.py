@@ -362,6 +362,20 @@ def test_infsup_non_finite_psi_is_one_line_error(spec, tmp_path, capsys):
     assert err.splitlines() == ["error: weighting-function moments contain NaN or inf"]
 
 
+def test_infsup_singular_coupling_is_one_line_error(tmp_path, capsys):
+    # m_psi = 0: delta_T = 0 at every n, so no ratio or slope is written
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["infsup", "--psi", "poly:0,1,-1.5", "--n-seq", "4,8,64",
+                    "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: coupling is singular for psi=poly:0,1,-1.5 (m_psi = 0): delta_T = 0"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_infsup_deterministic_bytes(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["infsup", "--mesh", "regular", "--seed", "9", "--psi", "perturbed:1",

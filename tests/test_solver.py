@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 import fvpg1d
 from fvpg1d import (DiscreteSolution, MomentTable, RegularFamilySpec,
-                    SaddleSystem, SolverError, TriDiagonal, assemble_fv,
+                    SaddleSystem, SolverError, assemble_fv,
                     build_random_regular,
                     build_uniform, builtin_affine, builtin_spline, moments,
                     perturbed_family, project_rhs, quadratic_problem,
                     residual, saddle_classical, saddle_pg, sin_problem,
                     solve_fv, solve_mixed, zero_problem)
+from fvpg1d.assembly import TriDiagonal
 from fvpg1d.solver import RESIDUAL_RTOL, _count_below
 
-from oracles import dense_tridiagonal, schur_is_pd
+from oracles import band_matvec, dense_tridiagonal, nodal_gradient, schur_is_pd
 
 
 def random_mesh(n, seed):
@@ -92,7 +93,7 @@ def test_classical_equals_pg_affine():
     a = solve_mixed(saddle_classical(mesh, f))
     b = solve_mixed(saddle_pg(mesh, moments(builtin_affine()), f))
     np.testing.assert_allclose(a.u_cells, b.u_cells, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(a.p_nodes, b.p_nodes, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(a.p_nodes, b.p_nodes)
 
 
 @pytest.mark.parametrize("psi_factory", [builtin_spline, lambda: perturbed_family(1.0)])
@@ -102,7 +103,33 @@ def test_pg_equals_fv_for_diagonal_mass(psi_factory):
     pg = solve_mixed(saddle_pg(mesh, moments(psi_factory()), f))
     fv = solve_fv(mesh, f)
     np.testing.assert_allclose(pg.u_cells, fv.u_cells, rtol=0, atol=1e-11)
-    np.testing.assert_allclose(pg.p_nodes, fv.p_nodes, rtol=0, atol=1e-11)
+    np.testing.assert_array_equal(pg.p_nodes, fv.p_nodes)
+
+
+GRADIENT_SCHEMES = {
+    "classical": lambda mesh, f: solve_mixed(saddle_classical(mesh, f)),
+    "pg:spline": lambda mesh, f: solve_mixed(saddle_pg(mesh, moments(builtin_spline()), f)),
+    "pg:affine": lambda mesh, f: solve_mixed(saddle_pg(mesh, moments(builtin_affine()), f)),
+    "pg:perturbed:0.5": lambda mesh, f: solve_mixed(
+        saddle_pg(mesh, moments(perturbed_family(0.5)), f)),
+}
+GRADIENT_MESHES = {"uniform": build_uniform, "regular": lambda n: random_mesh(n, 3)}
+
+
+@pytest.mark.parametrize("family", sorted(GRADIENT_MESHES))
+def test_every_scheme_returns_the_closed_form_gradient(family):
+    # with g = 0 the pair drops out of p: every scheme returns fv's gradient
+    # bit for bit, and for exact loads that is the exact gradient minus its
+    # trapezoid mean up to the rounding of the prefix sums, whose error grows
+    # like a random walk (measured <= 1.5 eps sqrt(n) max|u'| up to 2^20)
+    problem = sin_problem()
+    for n in (1, 7, 1000, 2**16, 2**20):
+        mesh = GRADIENT_MESHES[family](n)
+        p = solve_fv(mesh, problem.f).p_nodes
+        for name, solve in GRADIENT_SCHEMES.items():
+            assert np.array_equal(solve(mesh, problem.f).p_nodes, p), (name, n)
+        tol = 4.0 * np.finfo(float).eps * np.sqrt(n) * np.pi
+        assert np.abs(p - nodal_gradient(mesh, problem.p_exact)).max() <= tol, n
 
 
 def test_symmetry_on_uniform_mesh():
@@ -211,14 +238,12 @@ def test_schur_gate_matches_dense_oracle():
 def test_sturm_count_matches_dense_eigenvalues():
     rng = np.random.default_rng(5)
     for m in (2, 3, 10, 50):
-        off = rng.normal(size=m - 1)
-        T = TriDiagonal(lower=off, diag=rng.normal(size=m), upper=off)
-        eigs = np.linalg.eigvalsh(dense_tridiagonal(T))
+        diag, off = rng.normal(size=m), rng.normal(size=m - 1)
+        eigs = np.linalg.eigvalsh(dense_tridiagonal(TriDiagonal(off, diag, off)))
         for x in (-0.5, 0.0, 0.7):
-            assert _count_below(T, x) == np.count_nonzero(eigs < x)
+            assert _count_below(diag, off, x) == np.count_nonzero(eigs < x)
     # an exact zero pivot (eigenvalues -1 and 1) is stepped over, not divided by
-    T = TriDiagonal(lower=np.ones(1), diag=np.zeros(2), upper=np.ones(1))
-    assert _count_below(T, 0.0) == 1
+    assert _count_below(np.zeros(2), np.ones(1), 0.0) == 1
 
 
 @pytest.mark.parametrize("m1, m0", [(1.0 / 6.0, 1.0 / 3.0), (-1.0 / 6.0, -1.0 / 3.0)],
@@ -283,8 +308,8 @@ def test_fv_solves_cell_system_at_large_n():
         f = sin_problem().f
         u = solve_fv(mesh, f).u_cells
         A, b = assemble_fv(mesh, f)
-        scale = TriDiagonal(lower=np.abs(A.lower), diag=A.diag, upper=np.abs(A.upper))
-        assert np.abs(A.matvec(u) - b).max() <= 1e-13 * scale.matvec(np.abs(u)).max()
+        scale = band_matvec(np.abs(A.lower), A.diag, np.abs(A.upper), np.abs(u))
+        assert np.abs(band_matvec(A.lower, A.diag, A.upper, u) - b).max() <= 1e-13 * scale.max()
 
 
 # (n, m1, m0) in [-1, 1]^2 that the Schur gate mostly accepts: |m0| <= 0.9 m1
@@ -300,11 +325,10 @@ INDEFINITE_MASS = st.tuples(st.integers(1, 3), st.floats(0.0, 0.95)).flatmap(
 @settings(max_examples=40)
 @given(case=st.one_of(DEFINITE_MASS, INDEFINITE_MASS), seed=st.integers(0, 2**16))
 def test_property_mixed_gradient_matches_fv(case, seed):
-    # every mass row sums to 2 m_psi times the dual width, so every table the
-    # Schur gate accepts gives the fv gradient; |m_psi| >= 0.05 bounds the
-    # rounding of those row sums
+    # every mass row sums to 2 m_psi times the dual width, so with g = 0 the
+    # pair drops out of p: every table the Schur gate accepts gives the fv
+    # gradient bit for bit
     n, m1, m0 = case
-    assume(abs(m1 + m0) >= 0.05)
     mesh = random_mesh(n, seed)
     f = sin_problem().f
     table = MomentTable(m_psi=m1 + m0, m1=m1, m0=m0, s=1.0, c=0.0, sd=1.0, cd=0.0)
@@ -314,7 +338,7 @@ def test_property_mixed_gradient_matches_fv(case, seed):
     except SolverError:
         assume(False)
     fv = solve_fv(mesh, f)
-    assert np.abs(sol.p_nodes - fv.p_nodes).max() <= 1e-13 * np.abs(fv.p_nodes).max()
+    assert np.array_equal(sol.p_nodes, fv.p_nodes)
     assert residual(system, sol) <= 1e-13 * max(1.0, np.abs(system.rhs_cells).max())
 
 
