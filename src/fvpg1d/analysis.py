@@ -147,8 +147,7 @@ def interp_p0(mesh: Mesh, v: Callable, quad_order: int = DEFAULT_QUAD_ORDER,
     if antiderivative is not None:
         F = np.asarray(antiderivative(mesh.vertices), dtype=float)
         return np.diff(F) / mesh.cell_widths
-    _, w, at_points = cell_gauss_rule(mesh, quad_order)
-    return at_points(v) @ w
+    return cell_gauss_rule(mesh, quad_order, lambda at, x, cells: (at(v),))[0]
 
 
 def interp_p1(mesh: Mesh, q: Callable) -> np.ndarray:
@@ -177,24 +176,30 @@ def error_norms(solution: DiscreteSolution, problem: ManufacturedProblem,
 
     The discrete gradient is understood as the continuous piecewise-affine
     interpolant of its vertex values; its derivative error is measured
-    against -f.
+    against -f.  ``cell_gauss_rule`` sums each squared error over the Gauss
+    points of a cell in its fixed pairwise order, block by block; each norm
+    is then one ``np.sum`` over the full per-cell array, so the memory is
+    three per-cell arrays plus one block of points.
     """
     mesh = solution.mesh
-    h = mesh.cell_widths
-    x, w, at_points = cell_gauss_rule(mesh, quad_order)
+    u, p = solution.u_cells, solution.p_nodes
 
-    # each difference is a fresh array, squared in place: the same arithmetic
-    # with fewer (n, quad_order) temporaries alive at once
-    def sq_norm(diff):
-        return float(np.sum((np.square(diff, out=diff) @ w) * h))
+    def squared_errors(at, x, cells):  # one at a time: a single squared block is alive
+        left, right = p[:-1][cells], p[1:][cells]
+        d = at(problem.u_exact) - u[cells]
+        yield np.square(d, out=d)
+        d = left * (1.0 - x)[:, None]
+        d += right * x[:, None]
+        np.subtract(at(problem.p_exact), d, out=d)
+        yield np.square(d, out=d)
+        d = np.negative(at(problem.f.f))
+        d -= (right - left) / mesh.cell_widths[cells]
+        yield np.square(d, out=d)
 
-    err_u_sq = sq_norm(at_points(problem.u_exact) - solution.u_cells[:, None])
-    p_lin = solution.p_nodes[:-1, None] * (1.0 - x)[None, :]
-    p_lin += solution.p_nodes[1:, None] * x[None, :]
-    err_p_sq = sq_norm(np.subtract(at_points(problem.p_exact), p_lin, out=p_lin))
-    ddiv = np.negative(at_points(problem.f.f))
-    ddiv -= (np.diff(solution.p_nodes) / h)[:, None]
-    err_div_sq = sq_norm(ddiv)
+    sums = cell_gauss_rule(mesh, quad_order, squared_errors, count=3)
+    for row in sums:
+        row *= mesh.cell_widths
+    err_u_sq, err_p_sq, err_div_sq = (float(np.sum(row)) for row in sums)
 
     return ErrorReport(
         err_u_l2=float(np.sqrt(err_u_sq)),

@@ -12,8 +12,8 @@ stores that pair, and ``TriDiagonal`` bands are a read-only record of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Union
+from functools import cached_property, lru_cache
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
 
 DEFAULT_QUAD_ORDER = 8  # Gauss points per cell for loads, cell averages and error norms
 MAX_QUAD_ORDER = 32
+QUAD_BLOCK = 1024  # cells per block of cell_gauss_rule
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,73 @@ def gauss_legendre(order: int):
     """Gauss-Legendre rule mapped to [0, 1].
 
     Returns (nodes, weights); the weights are positive and sum to one, and the
-    rule integrates polynomials up to degree 2*order - 1 exactly.
+    rule integrates polynomials up to degree 2*order - 1 exactly.  The rule
+    of each order is computed once and returned as read-only arrays.
     """
     if not 1 <= order <= MAX_QUAD_ORDER:
         raise ValueError(f"quadrature order must be in [1, {MAX_QUAD_ORDER}]")
+    return _gauss_legendre(order)
+
+
+@lru_cache(maxsize=MAX_QUAD_ORDER)
+def _gauss_legendre(order: int):
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
-def cell_gauss_rule(mesh: Mesh, quad_order: int):
-    """Reference Gauss nodes x and weights w on [0, 1], and a function that
-    evaluates a callable at the points vertices[j] + h_j * x of every cell j,
-    shape (n, quad_order), broadcasting a constant return value."""
+def _fold_rows(a: np.ndarray) -> np.ndarray:
+    """Sum the rows of ``a`` in place by a fixed pairwise tree and return the
+    sum: the upper half of the rows is added onto the lower half (the middle
+    row of an odd count waits a level) until one row is left."""
+    rows = a.shape[0]
+    while rows > 1:
+        half = rows // 2
+        a[:half] += a[rows - half:rows]
+        rows -= half
+    return a[0]
+
+
+def cell_gauss_rule(mesh: Mesh, quad_order: int, integrands: Callable,
+                    count: int = 1) -> List[np.ndarray]:
+    """Per-cell Gauss sums of ``count`` integrands: ``count`` arrays of n.
+
+    Entry j of array i is sum_k w_k g_i(x_jk), x_jk = vertices[j] + h_j x_k,
+    with x and w the rule of ``gauss_legendre`` on [0, 1] (no factor h_j).
+    The mesh is walked in blocks of QUAD_BLOCK cells, so besides the outputs
+    the memory is a few (quad_order, QUAD_BLOCK) arrays whatever n is.  For
+    each block, ``integrands(at, x, cells)`` yields the ``count`` integrand
+    values in turn: ``at(fn)`` evaluates a vectorized callable on the
+    block's points, shape (quad_order, block), broadcasting a constant
+    return value, and ``cells`` is the block's slice of the cell arrays.
+    The products w_k g_k are summed over k in the fixed pairwise order of
+    ``_fold_rows``, by elementwise ufuncs and no BLAS, so every cell's sum is
+    the same bits for any block size and any BLAS thread count.
+    """
     x, w = gauss_legendre(quad_order)
-    pts = mesh.vertices[:-1, None] + mesh.cell_widths[:, None] * x[None, :]
-    return x, w, lambda fn: np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
+    n = mesh.n
+    # one allocation per call holds the outputs and the two buffers every block
+    # reuses: repeated calls then reuse one heap chunk, where separate arrays
+    # let glibc trim the heap and fault it back in on every call
+    work = np.empty(count * n + 2 * quad_order * min(n, QUAD_BLOCK))
+    sums = np.split(work[:count * n], count)
+    pts_buf, weighted_buf = work[count * n:].reshape(2, quad_order, -1)
+    for start in range(0, n, QUAD_BLOCK):
+        cells = slice(start, min(start + QUAD_BLOCK, n))
+        size = cells.stop - start
+        pts = np.multiply(mesh.cell_widths[cells], x[:, None], out=pts_buf[:, :size])
+        pts += mesh.vertices[cells]
+
+        def at(fn):
+            values = np.asarray(fn(pts), dtype=float)
+            return values if values.shape == pts.shape else np.broadcast_to(values, pts.shape)
+
+        weighted = weighted_buf[:, :size]
+        for i, values in enumerate(integrands(at, x, cells)):
+            sums[i][cells] = _fold_rows(np.multiply(values, w[:, None], out=weighted))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -95,8 +148,8 @@ class SourceFunction:
     def cell_integrals(self, mesh: Mesh, quad_order: int = DEFAULT_QUAD_ORDER) -> np.ndarray:
         if self.antiderivative is not None:
             return np.diff(np.asarray(self.antiderivative(mesh.vertices), dtype=float))
-        _, w, at_points = cell_gauss_rule(mesh, quad_order)
-        return mesh.cell_widths * (at_points(self.f) @ w)
+        sums = cell_gauss_rule(mesh, quad_order, lambda at, x, cells: (at(self.f),))
+        return mesh.cell_widths * sums[0]
 
 
 def _as_source(f: Union[SourceFunction, Callable]) -> SourceFunction:

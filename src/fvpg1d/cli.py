@@ -21,7 +21,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .analysis import (ConvergenceTable, PROBLEM_NAMES, convergence_study,
@@ -42,6 +41,7 @@ OUTDIR_ENV = "FVPG1D_OUTDIR"
 COMPARE_TOL = 1e-10
 MACHINE_LEVEL = 1e-12  # error columns below this count as converged
 CONDITION_NAMES = ("localization", "orthogonality", "fv_compat", "interp_compat")
+CSV_BLOCK = 1024  # rows formatted and written at a time by _write_solve_csv
 
 
 def parse_psi(text: str) -> WeightingFunction:
@@ -103,7 +103,32 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _write_solve_csv(path, vertices, u_cells, p_nodes):
+    """Write the cell table and then the node table of a solve, CSV_BLOCK
+    rows at a time, every value as ``fmt`` prints it.  Each vertex is
+    formatted once: the cell pass keeps a block's vertex strings as one
+    newline-joined text, and the node pass splits it again."""
+    vertex_texts = []
+    with open(path, "w", newline="") as fh:
+        fh.write("x_left,x_right,u_cell\n")
+        for start in range(0, u_cells.size, CSV_BLOCK):
+            xs = list(map(fmt, vertices[start:start + CSV_BLOCK + 1].tolist()))
+            us = map(fmt, u_cells[start:start + CSV_BLOCK].tolist())
+            fh.write("\n".join(map(",".join, zip(xs[:-1], xs[1:], us))) + "\n")
+            vertex_texts.append("\n".join(xs[:-1]))
+        vertex_texts.append(fmt(vertices[-1]))
+        fh.write("x_node,p_node\n")
+        start = 0
+        for text in vertex_texts:
+            xs = text.split("\n")
+            ps = map(fmt, p_nodes[start:start + len(xs)].tolist())
+            fh.write("\n".join(map(",".join, zip(xs, ps))) + "\n")
+            start += len(xs)
+
+
 def _write_sidecar(csv_path, command, config):
+    import scipy  # only for its version string; commands without a sidecar skip the import
+
     meta = {
         "command": command,
         "config": config,
@@ -159,14 +184,8 @@ def cmd_solve(args) -> int:
     psi = parse_psi(args.psi)
     solution = run_scheme(mesh, problem, args.scheme, psi, args.quad_order)
 
-    xs = list(map(fmt, mesh.vertices.tolist()))  # formatted once, printed three times
-    lines = ["x_left,x_right,u_cell",
-             *map(",".join, zip(xs[:-1], xs[1:], map(fmt, solution.u_cells.tolist()))),
-             "x_node,p_node",
-             *map(",".join, zip(xs, map(fmt, solution.p_nodes.tolist())))]
-
     out = _resolve_output(args.output, "solve.csv")
-    _write_text(out, "\n".join(lines) + "\n")
+    _write_solve_csv(out, mesh.vertices, solution.u_cells, solution.p_nodes)
     _write_sidecar(out, "solve", {
         "problem": args.problem, "scheme": args.scheme, "psi": psi.label,
         "mesh": args.mesh, "n": args.n, "alpha": args.alpha, "beta": args.beta,

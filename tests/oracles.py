@@ -18,10 +18,12 @@ Nothing in here imports from the package under test.  The tools:
 * dense tests of whether the Schur complement of a mixed system and the
   nodal graph-norm Gram matrix are positive definite, a dense copy of a
   tridiagonal band container and a banded product with it;
-* the three squared error integrals written as one expression each, with
-  every (n, order) temporary alive, as the package first computed them;
+* per-cell Gauss sums and the three squared error integrals written as one
+  expression each, with every (n, order) temporary alive and no blocks, the
+  Gauss points summed in the package's pairwise order;
 * the nodal gradient that every scheme returns for exact cell loads, in
-  closed form from the exact gradient.
+  closed form from the exact gradient;
+* the solve CSV written as one joined text.
 """
 
 from fractions import Fraction
@@ -379,13 +381,36 @@ def gram_is_pd(vertices, m, rtol=1e-12):
     return bool(np.min(np.diag(L)) ** 2 > rtol * np.abs(T).max())
 
 
-def squared_errors(vertices, u_cells, p_nodes, u_exact, p_exact, f, order):
-    """Squared L2 errors of u and p and of the divergence -f - p', by per-cell
-    Gauss-Legendre quadrature; the package must reproduce them bit for bit."""
+def _tree_sum(terms):
+    """Sum the columns of an (n, order) array by the package's fixed pairwise
+    tree: the upper half of the columns is added onto the lower half, the
+    middle column of an odd count waits a level."""
+    while terms.shape[1] > 1:
+        m = terms.shape[1]
+        half = m // 2
+        terms = np.concatenate((terms[:, :half] + terms[:, m - half:],
+                                terms[:, half:m - half]), axis=1)
+    return terms[:, 0]
+
+
+def _cell_points(vertices, order):
     v = np.asarray(vertices, dtype=float)
     h = np.diff(v)
     x, w = _gauss01(order)
-    pts = v[:-1, None] + h[:, None] * x[None, :]
+    return h, x, w, v[:-1, None] + h[:, None] * x[None, :]
+
+
+def gauss_cell_sums(vertices, fn, order):
+    """sum_k w_k fn(x_jk) for every cell j, unblocked (no factor h_j)."""
+    _, _, w, pts = _cell_points(vertices, order)
+    values = np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
+    return _tree_sum(values * w[None, :])
+
+
+def squared_errors(vertices, u_cells, p_nodes, u_exact, p_exact, f, order):
+    """Squared L2 errors of u and p and of the divergence -f - p', by per-cell
+    Gauss-Legendre quadrature; the package must reproduce them bit for bit."""
+    h, x, w, pts = _cell_points(vertices, order)
 
     def at(fn):
         return np.broadcast_to(np.asarray(fn(pts), dtype=float), pts.shape)
@@ -394,7 +419,7 @@ def squared_errors(vertices, u_cells, p_nodes, u_exact, p_exact, f, order):
     p_lin = p_nodes[:-1, None] * (1.0 - x)[None, :] + p_nodes[1:, None] * x[None, :]
     dp = at(p_exact) - p_lin
     ddiv = -at(f) - (np.diff(p_nodes) / h)[:, None]
-    return tuple(float(np.sum((d * d @ w) * h)) for d in (du, dp, ddiv))
+    return tuple(float(np.sum(_tree_sum(d * d * w[None, :]) * h)) for d in (du, dp, ddiv))
 
 
 # ---------------------------------------------------------------------------
@@ -414,3 +439,21 @@ def nodal_gradient(mesh, p_exact):
     w = 0.5 * (np.append(h, 0.0) + np.append(0.0, h))
     q = np.asarray(p_exact(v), dtype=float)
     return q - (w @ q) / w.sum()
+
+
+# ---------------------------------------------------------------------------
+# the solve CSV as one joined text
+# ---------------------------------------------------------------------------
+
+def solve_csv_text(vertices, u_cells, p_nodes):
+    """The bytes of a solve CSV, built as one list of lines joined at the end
+    (17 significant digits per value): the cell table, then the node table."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    xs = list(map(fmt, np.asarray(vertices).tolist()))
+    lines = ["x_left,x_right,u_cell",
+             *map(",".join, zip(xs[:-1], xs[1:], map(fmt, np.asarray(u_cells).tolist()))),
+             "x_node,p_node",
+             *map(",".join, zip(xs, map(fmt, np.asarray(p_nodes).tolist())))]
+    return "\n".join(lines) + "\n"

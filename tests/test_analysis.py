@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,10 +20,11 @@ from fvpg1d import (ConvergenceTable, ErrorReport, ManufacturedProblem, MomentTa
                     mesh_sequence, moments, perturbed_family,
                     quadratic_problem, run_scheme, sin_problem,
                     stability_constants, solve_fv, zero_problem)
+from fvpg1d.assembly import QUAD_BLOCK, cell_gauss_rule, gauss_legendre
 
-from oracles import (dense_infsup, dense_witness_sup, gram_is_pd, infsup_limit,
-                     longdouble_witness_sup, psi_moments_exact, simpson, squared_errors,
-                     uniform_infsup, uniform_witness_sup)
+from oracles import (dense_infsup, dense_witness_sup, gauss_cell_sums, gram_is_pd,
+                     infsup_limit, longdouble_witness_sup, psi_moments_exact, simpson,
+                     squared_errors, uniform_infsup, uniform_witness_sup)
 
 
 def random_mesh(n, seed):
@@ -136,13 +138,19 @@ def test_error_norms_u_error_against_simpson():
 # convergence tables and rate fitting
 # ---------------------------------------------------------------------------
 
+# either side of every block edge of the quadrature
+QUAD_SIZES = (1, QUAD_BLOCK - 1, QUAD_BLOCK, QUAD_BLOCK + 1, 3 * QUAD_BLOCK + 5)
+
+
 @pytest.mark.parametrize("name", ["sin", "quadratic"])
 def test_error_norms_match_unfused_reference_exactly(name):
-    # the in-place squaring keeps the arithmetic: equal bits, not a tolerance
+    # blocks and in-place squaring keep each cell's arithmetic: the unblocked
+    # oracle's bits, not a tolerance
     problem = get_problem(name)
-    for n in (1, 2, 7, 2048):
+    for n in (2, 7) + QUAD_SIZES:
         for mesh in (build_uniform(n), random_mesh(n, n)):
-            for scheme, order in (("fv", 8), ("classical", 3), ("classical", 16)):
+            for scheme, order in (("fv", 1), ("classical", 3), ("fv", 8), ("classical", 16),
+                                  ("fv", 32)):
                 sol = run_scheme(mesh, problem, scheme, quad_order=order)
                 u_sq, p_sq, div_sq = squared_errors(mesh.vertices, sol.u_cells, sol.p_nodes,
                                                     problem.u_exact, problem.p_exact,
@@ -151,6 +159,61 @@ def test_error_norms_match_unfused_reference_exactly(name):
                 assert report.err_u_l2 == np.sqrt(u_sq)
                 assert report.err_p_l2 == np.sqrt(p_sq)
                 assert report.err_p_h1 == np.sqrt(p_sq + div_sq)
+
+
+@pytest.mark.parametrize("order", [1, 3, 8, 16, 32])
+def test_cell_sums_match_unblocked_reference_exactly(order):
+    # bare-callable loads and cell averages take the same blocked sums
+    f = sin_problem().f.f
+    bare = SourceFunction(f)
+    for n in QUAD_SIZES:
+        for mesh in (build_uniform(n), random_mesh(n, n)):
+            sums = gauss_cell_sums(mesh.vertices, f, order)
+            np.testing.assert_array_equal(bare.cell_integrals(mesh, order),
+                                          mesh.cell_widths * sums)
+            np.testing.assert_array_equal(interp_p0(mesh, f, order), sums)
+
+
+@pytest.mark.parametrize("block", [1, 7, 5000])
+def test_cell_sums_do_not_depend_on_block_size(monkeypatch, block):
+    mesh = random_mesh(1000, 4)
+    problem = sin_problem()
+    sol = solve_fv(mesh, problem.f)
+    expected = error_norms(sol, problem, 3), interp_p0(mesh, problem.p_exact, 3)
+    monkeypatch.setattr(fvpg1d.assembly, "QUAD_BLOCK", block)
+    got = error_norms(sol, problem, 3), interp_p0(mesh, problem.p_exact, 3)
+    assert got[0] == expected[0]
+    np.testing.assert_array_equal(got[1], expected[1])
+
+
+@pytest.mark.parametrize("order", [1, 3, 8, 16, 32])
+def test_cell_sums_within_4_eps_of_longdouble(order):
+    # a product and a pairwise sum of positive terms: at most
+    # ceil(log2(order)) + 1 roundings of eps/2 each, 3 eps at order 32
+    mesh = random_mesh(3 * QUAD_BLOCK + 5, 5)
+    fn = lambda x: np.exp(np.sin(7.0 * x))
+    got = cell_gauss_rule(mesh, order, lambda at, x, cells: (at(fn),))[0]
+    x, w = gauss_legendre(order)
+    pts = mesh.vertices[:-1, None] + mesh.cell_widths[:, None] * x[None, :]
+    ref = (fn(pts).astype(np.longdouble) * w.astype(np.longdouble)).sum(axis=1)
+    rel = np.abs(got.astype(np.longdouble) - ref) / ref
+    assert float(rel.max()) <= 4 * np.finfo(float).eps
+
+
+def test_error_norms_memory_is_three_cell_arrays_plus_blocks():
+    # the (n, order) point arrays are gone: three per-cell sums plus a few
+    # (order, QUAD_BLOCK) arrays, whatever n is
+    n = 2**18
+    problem = sin_problem()
+    sol = solve_fv(random_mesh(n, 18), problem.f)
+    for order in (8, 32):
+        tracemalloc.start()
+        try:
+            error_norms(sol, problem, order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * n + 10 * 8 * order * QUAD_BLOCK
 
 
 def test_loglog_slope_recovers_powers():

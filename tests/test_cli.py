@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, strategies as st
 
 import fvpg1d
 from fvpg1d import cli
+
+from oracles import solve_csv_text
 
 
 def run(argv):
@@ -193,6 +197,7 @@ def test_solve_csv_layout_and_sidecar(tmp_path, capsys):
     assert meta["config"]["n"] == 8
     assert meta["config"]["scheme"] == "fv"
     assert set(meta["versions"]) == {"fvpg1d", "numpy", "scipy"}
+    assert meta["versions"]["scipy"] == scipy.__version__
     text = capsys.readouterr().out
     assert "err_u_l2=" in text
 
@@ -236,6 +241,53 @@ def test_solve_large_psi_exits_0(tmp_path, capsys):
     argv = ["solve", "--scheme", "pg", "--psi", "poly:1e100,1e100", "--n", "8"]
     assert run(argv + ["-o", str(tmp_path / "s.csv")]) == 0
     assert capsys.readouterr().err == ""
+
+
+CSV_SIZES = (1, 2, cli.CSV_BLOCK - 1, cli.CSV_BLOCK + 1, 65536)
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "regular"])
+@pytest.mark.parametrize("scheme", ["fv", "classical", "pg"])
+def test_solve_csv_streams_the_joined_text_bytes(scheme, mesh, tmp_path, capsys):
+    # the CSV is written block by block; its bytes are those of the whole
+    # table joined at once, on either side of a block edge
+    out = tmp_path / "s.csv"
+    for n in CSV_SIZES:
+        argv = ["solve", "--scheme", scheme, "--mesh", mesh, "--seed", "3", "--n", str(n),
+                "-o", str(out)]
+        assert run(argv) == 0
+        args = cli.build_parser().parse_args(argv)
+        sol = fvpg1d.run_scheme(cli._make_mesh(args), fvpg1d.get_problem(args.problem),
+                                scheme, cli.parse_psi(args.psi), args.quad_order)
+        expected = solve_csv_text(sol.mesh.vertices, sol.u_cells, sol.p_nodes)
+        assert out.read_bytes() == expected.encode()
+    capsys.readouterr()
+
+
+def test_solve_memory_is_not_the_csv(tmp_path, capsys):
+    # the CSV goes to the file block by block and the quadrature runs in
+    # blocks, so a 65536-cell solve keeps its O(n) arrays and no text
+    tracemalloc.start()
+    try:
+        assert run(["solve", "--n", "65536", "-o", str(tmp_path / "s.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    capsys.readouterr()
+
+
+def test_import_and_psi_check_leave_scipy_unimported(tmp_path):
+    # scipy only names its version in a sidecar, and psi-check writes none
+    code = ("import sys, fvpg1d.cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            "assert fvpg1d.cli.main(['psi-check', '-o', 'psi.json']) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
+    path = [str(Path(fvpg1d.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
 
 
 def test_solve_outdir_env(tmp_path, monkeypatch, capsys):

@@ -50,6 +50,14 @@ def test_gauss_legendre_order_bounds():
         gauss_legendre(33)
 
 
+def test_gauss_legendre_is_computed_once_and_read_only():
+    x, w = gauss_legendre(8)
+    assert gauss_legendre(8)[0] is x and gauss_legendre(8)[1] is w
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # built-in families and their frozen moments
 # ---------------------------------------------------------------------------
